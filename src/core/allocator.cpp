@@ -39,14 +39,6 @@ util::Bytes Allocator::pair_outstanding(net::NodeId src,
                                  : util::Bytes{it->second.outstanding};
 }
 
-bool Allocator::pair_coalescable(net::NodeId src_server,
-                                 net::NodeId dst_server) const {
-  if (suspended_) return true;
-  const auto it = aggregates_.find(aggregate_key(src_server, dst_server));
-  return it != aggregates_.end() && it->second.installed &&
-         it->second.outstanding > 0;
-}
-
 net::PathId Allocator::effective_path(net::PathId chosen) {
   if (cfg_.aggregation == Aggregation::kServerPair) return chosen;
   const net::Path& path = controller_->path(chosen);

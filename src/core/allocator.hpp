@@ -50,20 +50,11 @@ class Allocator {
   /// is tracked but nothing is installed (traffic stays on ECMP).
   /// `intent_count` says how many shuffle intents the volume was coalesced
   /// from; it weights per-intent outcome accounting (suppressed installs
-  /// here, install attempt/failure counters in the controller) so batching
-  /// cannot understate failure rates.
+  /// here, install attempt/failure counters in the controller) so window
+  /// aggregation cannot understate failure rates.
   void add_predicted_volume(net::NodeId src_server, net::NodeId dst_server,
                             util::Bytes wire_bytes,
                             std::uint64_t intent_count = 1);
-
-  /// True when adding volume for the pair is a pure bookkeeping add that
-  /// cannot change any allocation decision: the allocator is suspended, or
-  /// the aggregate is installed with outstanding volume. The batched drain
-  /// coalesces the tail of a same-pair run once this holds — the exact
-  /// condition under which the serial reference's remaining submissions are
-  /// arithmetic only, which is what keeps the arms byte-identical.
-  [[nodiscard]] bool pair_coalescable(net::NodeId src_server,
-                                      net::NodeId dst_server) const;
 
   /// Retires volume as the corresponding transfers complete.
   void retire_volume(net::NodeId src_server, net::NodeId dst_server,
@@ -94,13 +85,6 @@ class Allocator {
   /// paths); the aggregate stayed on ECMP and nothing was packed.
   [[nodiscard]] std::uint64_t installs_refused() const {
     return installs_refused_;
-  }
-
-  /// The control plane this allocator installs through (the collector's
-  /// cohort pipeline reaches topology groups and batch transactions via it).
-  [[nodiscard]] sdn::Controller& controller() { return *controller_; }
-  [[nodiscard]] const sdn::Controller& controller() const {
-    return *controller_;
   }
 
   /// Expected drain time of `path` if `additional` bytes were packed onto it

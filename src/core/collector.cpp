@@ -4,7 +4,6 @@
 
 #include "core/allocator.hpp"
 #include "core/watchdog.hpp"
-#include "net/topology.hpp"
 #include "sim/snapshot.hpp"
 #include "util/log.hpp"
 
@@ -12,31 +11,7 @@ namespace pythia::core {
 
 Collector::Collector(sim::Simulation& sim, Allocator& allocator,
                      CollectorConfig cfg)
-    : sim_(&sim), allocator_(&allocator), cfg_(cfg) {
-  if (!cohort_mode()) return;
-  std::size_t shard_count = cfg_.shard_count;
-  if (shard_count == 0) {
-    // One shard per host locality group (fat-tree pod / rack), the layout
-    // that maps shards onto the collector replicas a real deployment would
-    // run next to each pod.
-    const net::Topology& topo = allocator_->controller().topology();
-    std::vector<std::int32_t> groups;
-    for (net::NodeId h : topo.hosts()) groups.push_back(topo.node_group(h));
-    std::sort(groups.begin(), groups.end());
-    groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-    shard_count = std::max<std::size_t>(1, groups.size());
-  }
-  shards_ = std::make_unique<ShardedIntentQueue>(ShardedIntentQueue::Config{
-      .shard_count = shard_count, .pod_capacity = cfg_.pod_queue_capacity});
-  cohort_token_ = sim_->queue().add_cohort_listener([this] { drain_cohort(); });
-  cohort_listener_registered_ = true;
-}
-
-Collector::~Collector() {
-  if (cohort_listener_registered_) {
-    sim_->queue().remove_cohort_listener(cohort_token_);
-  }
-}
+    : sim_(&sim), allocator_(&allocator), cfg_(cfg) {}
 
 void Collector::purge_expired() {
   if (cfg_.intent_ttl <= util::Duration::zero()) return;
@@ -73,12 +48,8 @@ void Collector::ingest(const ShuffleIntent& intent) {
     }
     return;
   }
-  if (cohort_mode()) {
-    admit_intent(intent, located->second, sim_->now());
-  } else {
-    enqueue_update(intent.src_server, located->second,
-                   intent.predicted_wire_bytes);
-  }
+  enqueue_update(intent.src_server, located->second,
+                 intent.predicted_wire_bytes);
 }
 
 void Collector::reducer_located(std::size_t job_serial,
@@ -91,16 +62,8 @@ void Collector::reducer_located(std::size_t job_serial,
   const auto it = waiting_.find(key);
   if (it == waiting_.end()) return;
   for (const auto& held : it->second) {
-    if (cohort_mode()) {
-      // The TTL horizon anchors at *arrival*: a resolved intent inherits
-      // held_at + ttl as its expiry so a late reducer location cannot revive
-      // an intent past its TTL (purge_expired above already dropped the
-      // fully expired ones; the admitted horizon covers the drain edge).
-      admit_intent(held.intent, server, held.held_at);
-    } else {
-      enqueue_update(held.intent.src_server, server,
-                     held.intent.predicted_wire_bytes);
-    }
+    enqueue_update(held.intent.src_server, server,
+                   held.intent.predicted_wire_bytes);
   }
   waiting_.erase(it);
 }
@@ -115,12 +78,6 @@ void Collector::job_completed(std::size_t job_serial) {
   }
   reducer_location_.erase(reducer_location_.lower_bound(lo),
                           reducer_location_.lower_bound(hi));
-  if (shards_ != nullptr) {
-    // Queued-but-undrained intents die with the job: the transfers they
-    // predicted will never start, so installing rules for them would only
-    // occupy flow-table space.
-    purged_on_completion_ += shards_->purge_job(job_serial);
-  }
 }
 
 std::size_t Collector::intents_waiting() const {
@@ -129,43 +86,27 @@ std::size_t Collector::intents_waiting() const {
   return total;
 }
 
-std::size_t Collector::intents_queued() const {
-  return shards_ == nullptr ? 0 : shards_->size();
-}
-
-std::uint64_t Collector::admission_refused() const {
-  return shards_ == nullptr ? 0 : shards_->refused();
-}
-
-std::uint64_t Collector::admission_evicted() const {
-  return shards_ == nullptr ? 0 : shards_->evicted();
-}
-
 const std::vector<PredictionPoint>& Collector::predicted_curve(
     net::NodeId server) const {
   const auto it = curves_.find(server);
   return it == curves_.end() ? empty_curve_ : it->second;
 }
 
-void Collector::book_update(net::NodeId src, net::NodeId dst,
-                            std::int64_t wire) {
+void Collector::enqueue_update(net::NodeId src, net::NodeId dst,
+                               util::Bytes wire) {
+  if (src == dst) return;  // server-local copy, never touches the network
   auto& total = predicted_totals_[src];
-  total += wire;
+  total += wire.count();
   auto& curve = curves_[src];
   if (!curve.empty() && curve.back().at == sim_->now()) {
     curve.back().cumulative = util::Bytes{total};
   } else {
     curve.push_back(PredictionPoint{sim_->now(), util::Bytes{total}});
   }
-  pair_seen_[std::pair{src.value(), dst.value()}] = true;
-  dst_outstanding_[dst] += wire;
-}
-
-void Collector::enqueue_update(net::NodeId src, net::NodeId dst,
-                               util::Bytes wire) {
-  if (src == dst) return;  // server-local copy, never touches the network
-  book_update(src, dst, wire.count());
-  auto& pending = batch_[std::pair{src.value(), dst.value()}];
+  const auto key = std::pair{src.value(), dst.value()};
+  pair_seen_[key] = true;
+  dst_outstanding_[dst] += wire.count();
+  auto& pending = batch_[key];
   pending.bytes += wire.count();
   pending.intents += 1;
   if (!flush_pending_) {
@@ -209,115 +150,6 @@ void Collector::flush_batch() {
   }
 }
 
-void Collector::admit_intent(const ShuffleIntent& intent, net::NodeId dst,
-                             util::SimTime ttl_base) {
-  if (intent.src_server == dst) return;  // server-local copy
-  const net::Topology& topo = allocator_->controller().topology();
-  AdmittedIntent a;
-  a.pod = topo.node_group(intent.src_server);
-  a.priority = intent.priority;
-  a.job_serial = intent.job_serial;
-  a.src = intent.src_server.value();
-  a.dst = dst.value();
-  a.reduce_index = intent.reduce_index;
-  a.map_index = intent.map_index;
-  a.wire_bytes = intent.predicted_wire_bytes.count();
-  a.admitted_at = sim_->now();
-  a.expires_at = cfg_.intent_ttl > util::Duration::zero()
-                     ? ttl_base + cfg_.intent_ttl
-                     : util::SimTime::max();
-  if (shards_->admit(a) != ShardedIntentQueue::Admission::kRefused) {
-    // Something is queued; make sure the cohort boundary fires even if no
-    // simulator event defers work this cohort.
-    sim_->queue().mark_cohort_activity();
-  }
-}
-
-void Collector::submit_one(const AdmittedIntent& a) {
-  book_update(net::NodeId{a.src}, net::NodeId{a.dst}, a.wire_bytes);
-  allocator_->add_predicted_volume(net::NodeId{a.src}, net::NodeId{a.dst},
-                                   util::Bytes{a.wire_bytes}, 1);
-  if (observer_ != nullptr) observer_->on_intents_submitted(1);
-}
-
-void Collector::submit_run(std::uint32_t src, std::uint32_t dst,
-                           std::int64_t sum, std::uint64_t intents) {
-  book_update(net::NodeId{src}, net::NodeId{dst}, sum);
-  allocator_->add_predicted_volume(net::NodeId{src}, net::NodeId{dst},
-                                   util::Bytes{sum}, intents);
-  if (observer_ != nullptr) {
-    observer_->on_intents_submitted(static_cast<std::size_t>(intents));
-  }
-}
-
-void Collector::drain_cohort() {
-  if (shards_ == nullptr || shards_->empty()) return;
-  std::vector<AdmittedIntent> batch = shards_->drain();
-  const util::SimTime now = sim_->now();
-  // TTL guard at the install edge: an admitted intent whose horizon passed
-  // must not install. purge_expired() catches expiry before admission; this
-  // keeps the invariant airtight however the intent reached the queue.
-  std::erase_if(batch, [&](const AdmittedIntent& a) {
-    if (now >= a.expires_at) {
-      ++expired_;
-      return true;
-    }
-    return false;
-  });
-  if (batch.empty()) return;
-
-  if (observer_ != nullptr) observer_->on_drain_begin(batch.size());
-  ++batches_;
-  const bool batched = cfg_.pipeline == IntentPipeline::kCohortBatched;
-  if (batched) allocator_->controller().begin_install_batch();
-
-  std::size_t runs = 0;
-  std::size_t calls = 0;
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    // Maximal contiguous same-(src, dst) run; the canonical order makes
-    // every intent of one aggregate in this cohort contiguous.
-    std::size_t j = i;
-    while (j < batch.size() && batch[j].src == batch[i].src &&
-           batch[j].dst == batch[i].dst) {
-      ++j;
-    }
-    ++runs;
-    if (!batched) {
-      for (std::size_t k = i; k < j; ++k) {
-        submit_one(batch[k]);
-        ++calls;
-      }
-    } else {
-      // Per-intent until the pair is a pure volume add (installed with
-      // outstanding volume, or allocator suspended) — the serial arm's
-      // submissions from that point on cannot change allocation decisions,
-      // so the tail of the run coalesces into one summed submission.
-      // Refused pairs never become coalescable and stay per-intent, which
-      // keeps refusal counts equal to the serial arm's.
-      std::size_t k = i;
-      while (k < j && !allocator_->pair_coalescable(net::NodeId{batch[k].src},
-                                                    net::NodeId{batch[k].dst})) {
-        submit_one(batch[k]);
-        ++calls;
-        ++k;
-      }
-      if (k < j) {
-        std::int64_t sum = 0;
-        for (std::size_t m = k; m < j; ++m) sum += batch[m].wire_bytes;
-        submit_run(batch[i].src, batch[i].dst, sum,
-                   static_cast<std::uint64_t>(j - k));
-        ++calls;
-        coalesced_saved_ += (j - k) - 1;
-      }
-    }
-    i = j;
-  }
-
-  if (batched) allocator_->controller().commit_install_batch();
-  if (observer_ != nullptr) observer_->on_drain_end(batch.size(), runs, calls);
-}
-
 void Collector::fetch_completed(net::NodeId src_server, net::NodeId dst_server,
                                 util::Bytes payload) {
   if (src_server == dst_server) return;
@@ -351,7 +183,7 @@ util::Bytes Collector::mean_destination_outstanding() const {
   return live == 0 ? util::Bytes::zero() : util::Bytes{total / live};
 }
 
-void Collector::encode_behavior(sim::StateEncoder& enc) const {
+void Collector::encode_state(sim::StateEncoder& enc) const {
   enc.put_u32(static_cast<std::uint32_t>(reducer_location_.size()));
   for (const auto& [key, server] : reducer_location_) {
     enc.put_u64(key.job_serial);
@@ -371,8 +203,6 @@ void Collector::encode_behavior(sim::StateEncoder& enc) const {
       enc.put_u32(h.intent.src_server.value());
       enc.put_i64(h.intent.predicted_wire_bytes.count());
       enc.put_time(h.intent.emitted_at);
-      enc.put_u32(h.intent.tenant);
-      enc.put_i64(h.intent.priority);
       enc.put_time(h.held_at);
     }
   }
@@ -416,17 +246,7 @@ void Collector::encode_behavior(sim::StateEncoder& enc) const {
   enc.put_u64(expired_);
   enc.put_u64(purged_on_completion_);
   enc.put_u64(underflows_);
-  // Admission outcomes are pipeline-invariant: the per-pod bound decides
-  // each intent identically at any shard count and in both cohort arms.
-  enc.put_u64(shards_ == nullptr ? 0 : shards_->admitted());
-  enc.put_u64(admission_refused());
-  enc.put_u64(admission_evicted());
-}
 
-void Collector::encode_state(sim::StateEncoder& enc) const {
-  encode_behavior(enc);
-
-  enc.put_u8(static_cast<std::uint8_t>(cfg_.pipeline));
   enc.put_u32(static_cast<std::uint32_t>(batch_.size()));
   for (const auto& [pair, pending] : batch_) {
     enc.put_u32(pair.first);
@@ -435,10 +255,6 @@ void Collector::encode_state(sim::StateEncoder& enc) const {
     enc.put_u64(pending.intents);
   }
   enc.put_bool(flush_pending_);
-
-  enc.put_bool(shards_ != nullptr);
-  if (shards_ != nullptr) shards_->encode_state(enc);
-  enc.put_u64(coalesced_saved_);
 }
 
 }  // namespace pythia::core

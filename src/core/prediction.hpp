@@ -51,12 +51,6 @@ struct ShuffleIntent {
   net::NodeId src_server;
   util::Bytes predicted_wire_bytes;
   util::SimTime emitted_at;
-  /// Multi-tenant annotations (open-arrival workloads): the owning tenant
-  /// and its scheduling priority. Higher priority drains earlier within a
-  /// cohort in the sharded pipeline; 0/0 (single-tenant engine paths) keeps
-  /// the canonical drain order purely topological.
-  std::uint32_t tenant = 0;
-  std::int32_t priority = 0;
 };
 
 /// Cumulative predicted-traffic curve entry (per source server), directly

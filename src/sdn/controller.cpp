@@ -235,20 +235,6 @@ bool Controller::admit_to_tables(const net::Path& path,
         return false;
       }
       ++evictions_;
-      // The victim's install attempt may still be deferred in an open batch;
-      // serially it was attempted at its own install time, before this
-      // eviction. Flush first so the attempt (and every deferred one before
-      // it, in insertion order) happens exactly as the serial arm did it —
-      // erasing an unattempted rule would drop its counters and RNG draws.
-      if (batch_open_) {
-        const std::uint64_t vkey = victim->first;
-        if (std::any_of(batch_pending_.begin(), batch_pending_.end(),
-                        [vkey](const auto& p) { return p.first == vkey; })) {
-          flush_install_batch();
-          victim = rules_.find(vkey);
-          if (victim == rules_.end()) continue;  // flushed away; rescan
-        }
-      }
       erase_rule(victim);
     }
   }
@@ -279,15 +265,7 @@ bool Controller::install_path_id(net::NodeId src_host, net::NodeId dst_host,
   const util::SimTime now = sim_->now();
 
   // A re-install supersedes any previous rule for the pair (and releases its
-  // table entries before the admission check). If the superseded rule's
-  // install attempt is still deferred in an open batch, flush the batch
-  // first — the serial order is "attempt old rule, then install new rule",
-  // and skipping the old attempt would shift every later RNG draw.
-  if (batch_open_ &&
-      std::any_of(batch_pending_.begin(), batch_pending_.end(),
-                  [key](const auto& p) { return p.first == key; })) {
-    flush_install_batch();
-  }
+  // table entries before the admission check).
   if (auto existing = rules_.find(key); existing != rules_.end()) {
     erase_rule(existing);
   }
@@ -310,37 +288,9 @@ bool Controller::install_path_id(net::NodeId src_host, net::NodeId dst_host,
     }
   }
   ++rules_installed_;
-  const std::uint64_t epoch = pending.epoch;
   rules_[key] = std::move(pending);
-  if (batch_open_) {
-    batch_pending_.emplace_back(key, epoch);
-  } else {
-    attempt_install(key);
-  }
+  attempt_install(key);
   return true;
-}
-
-void Controller::begin_install_batch() {
-  assert(!batch_open_);
-  batch_open_ = true;
-}
-
-void Controller::flush_install_batch() {
-  for (std::size_t i = 0; i < batch_pending_.size(); ++i) {
-    const auto [key, epoch] = batch_pending_[i];
-    const auto it = rules_.find(key);
-    // Superseded or removed while deferred: its replacement carries its own
-    // batch entry (or was installed unbatched after a flush).
-    if (it == rules_.end() || it->second.epoch != epoch) continue;
-    attempt_install(key);
-  }
-  batch_pending_.clear();
-}
-
-void Controller::commit_install_batch() {
-  assert(batch_open_);
-  flush_install_batch();
-  batch_open_ = false;
 }
 
 void Controller::attempt_install(std::uint64_t key) {
@@ -652,15 +602,6 @@ void Controller::encode_state(sim::StateEncoder& enc) const {
   enc.put_u64(install_reject_intents_);
   enc.put_u64(install_timeout_intents_);
   enc.put_u64(table_reject_intents_);
-
-  // Open-batch state (empty outside a cohort drain; encoded for capture-
-  // anywhere completeness).
-  enc.put_bool(batch_open_);
-  enc.put_u32(static_cast<std::uint32_t>(batch_pending_.size()));
-  for (const auto& [key, epoch] : batch_pending_) {
-    enc.put_u64(key);
-    enc.put_u64(epoch);
-  }
 
   flow_mod_channel_.encode_state(enc);
 }

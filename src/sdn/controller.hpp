@@ -136,31 +136,12 @@ class Controller {
   /// semantics to the Path overload. `intent_weight` is the number of
   /// shuffle intents whose traffic rides on this rule (1 for unbatched
   /// callers); every install/reject/timeout outcome advances the per-intent
-  /// counters by this weight so batching cannot understate the failure rate
-  /// the watchdog's ECMP-fallback trigger sees.
+  /// counters by this weight so window aggregation cannot understate the
+  /// failure rate the watchdog's ECMP-fallback trigger sees.
   bool install_path_id(net::NodeId src_host, net::NodeId dst_host,
                        net::PathId path_id,
                        util::Bytes volume_hint = util::Bytes::zero(),
                        std::uint64_t intent_weight = 1);
-
-  // --- batched rule installation (cohort pipeline fast path) ---
-  //
-  // Between begin_install_batch() and commit_install_batch(), every
-  // install_path_id performs its synchronous work (failed-link refusal,
-  // supersede, table admission, occupancy, epoch) inline but defers the
-  // flow-mod send (attempt_install) to the commit, which issues all deferred
-  // attempts in insertion order as one rule-table transaction. Because the
-  // deferral stays within one simulation instant and preserves attempt
-  // order, the RNG-draw and flow-mod sequence is identical to unbatched
-  // installs — precondition: max_install_retries >= 1 (the default), so a
-  // same-instant failure cannot observe the not-yet-sent state. A re-install
-  // that would supersede a rule already deferred in the open batch flushes
-  // the batch first, preserving the serial attempt order.
-
-  /// Opens a batch; nestable calls are a bug (asserted).
-  void begin_install_batch();
-  /// Issues every deferred install attempt in order and closes the batch.
-  void commit_install_batch();
 
   /// Interns an externally composed path (e.g. a rack chain with access
   /// links) into the routing pool so it can be passed by id.
@@ -334,9 +315,6 @@ class Controller {
   void attempt_install(std::uint64_t key);
   /// Backoff-retries the keyed rule, or abandons it after max retries.
   void fail_attempt(std::uint64_t key);
-  /// Issues deferred batch attempts in insertion order; leaves the batch
-  /// open (commit closes it; a mid-batch supersede flushes through here).
-  void flush_install_batch();
   std::unordered_map<std::uint32_t, std::size_t> table_occupancy_;
 
   struct PendingRackRule {
@@ -385,10 +363,6 @@ class Controller {
   std::uint64_t install_reject_intents_ = 0;
   std::uint64_t install_timeout_intents_ = 0;
   std::uint64_t table_reject_intents_ = 0;
-
-  /// Open install batch: deferred (key, epoch) attempts in insertion order.
-  bool batch_open_ = false;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> batch_pending_;
 };
 
 }  // namespace pythia::sdn

@@ -122,9 +122,12 @@ class Snapshot {
   // v3: sharded intent pipeline — collector section gained pipeline mode,
   // per-intent windowed batch counts, shard-queue content, and admission/
   // coalescing counters; controller rules carry intent weights plus the
-  // intent-weighted outcome counters and open-batch state (see
-  // docs/architecture.md pipeline section).
-  static constexpr std::uint32_t kFormatVersion = 3;
+  // intent-weighted outcome counters and open-batch state.
+  // v4: cohort pipelines removed — the collector section drops pipeline
+  // mode, shard-queue content, admission/coalescing counters and intent
+  // tenant/priority; the controller section drops open-batch state (see
+  // docs/checkpoint.md).
+  static constexpr std::uint32_t kFormatVersion = 4;
 
   // --- identity + cursor (set by the capturing layer) ---
   std::uint64_t root_seed = 0;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/allocator.hpp"
+#include "core/collector.hpp"
 #include "core/watchdog.hpp"
+#include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "sdn/controller.hpp"
 #include "sim/simulation.hpp"
@@ -163,6 +165,46 @@ TEST(Watchdog, SuspendedAllocatorSuppressesInstallsAndResumeReinstalls) {
   f.sim.run();
   EXPECT_EQ(f.controller.rules_installed(), 1u);
   EXPECT_NE(f.controller.active_rule(f.src, f.dst), nullptr);
+}
+
+TEST(Watchdog, FailureRateIsIntentWeighted) {
+  // flow_table_capacity = 1: one large single-intent aggregate takes the
+  // table; a three-intent coalesced aggregate (smaller volume, so no
+  // eviction) is refused. Intent-weighted accounting must see 3 stranded
+  // predictions out of 4 — 0.75 — where per-batch accounting would report
+  // 1 failed install out of 2 events (0.5) and miss the fallback bar.
+  const net::Topology topo = net::make_two_rack({});
+  const auto hosts = topo.hosts();
+  sim::Simulation sim(7);
+  net::Fabric fabric(sim, topo);
+  sdn::ControllerConfig ctcfg;
+  ctcfg.flow_table_capacity = 1;
+  sdn::Controller controller(sim, fabric, topo, ctcfg);
+  Allocator allocator(controller);
+  Collector collector(sim, allocator);  // windowed pipeline: batch coalescing
+  ControlPlaneWatchdog watchdog(sim, controller, allocator);
+
+  collector.reducer_located(0, 0, hosts[5]);
+  collector.reducer_located(0, 1, hosts[6]);
+  auto intent = [&](std::size_t reduce_index, std::size_t map_index,
+                    std::int64_t bytes) {
+    ShuffleIntent i;
+    i.job_serial = 0;
+    i.map_index = map_index;
+    i.reduce_index = reduce_index;
+    i.src_server = hosts[0];
+    i.predicted_wire_bytes = Bytes{bytes};
+    collector.ingest(i);
+  };
+  intent(0, 0, 10'000'000);  // installs; attempt weight 1
+  intent(1, 0, 1'000'000);   // coalesce into one 3-intent aggregate...
+  intent(1, 1, 1'000'000);
+  intent(1, 2, 1'000'000);  // ...refused by the full table: weight 3
+  sim.run();
+
+  EXPECT_EQ(controller.install_attempt_intents(), 1u);
+  EXPECT_EQ(controller.table_reject_intents(), 3u);
+  EXPECT_DOUBLE_EQ(watchdog.recent_install_failure_rate(), 0.75);
 }
 
 }  // namespace
