@@ -106,7 +106,6 @@ void encode_scenario_config(const ScenarioConfig& cfg,
   enc.put_u8(static_cast<std::uint8_t>(cfg.scheduler));
   enc.put_bool(cfg.enable_netflow);
   enc.put_u8(static_cast<std::uint8_t>(cfg.rate_engine));
-  enc.put_bool(cfg.coalesce_cohorts);
 }
 
 void encode_job_spec(const hadoop::JobSpec& job, sim::StateEncoder& enc) {
@@ -158,14 +157,6 @@ sim::Snapshot capture_snapshot(Scenario& scenario,
   snap.cursor_events = scenario.simulation().queue().events_fired();
   snap.cursor_time = scenario.simulation().now();
   snap.label = std::move(label);
-
-  // Close any open rate-recompute cohort BEFORE encoding anything. A capture
-  // taken mid-cohort (the bisection probe's run_to_event_count cursor) would
-  // otherwise encode pre-flush rates, and the restored replay — which flushes
-  // at the same point via this very call — would diverge. Flushing here is
-  // deterministic on both sides: it is the next fabric action after event N
-  // in both timelines. No-op when coalescing is off or nothing is pending.
-  scenario.fabric().flush_coalesced();
 
   // Fixed section order — verification and bisection compare pairwise.
   add_section(snap, "sim.queue", [&](sim::StateEncoder& enc) {
@@ -233,8 +224,21 @@ RestoreResult restore_snapshot(const sim::Snapshot& snap,
   // without advance_now the replayed clock sits at the last fired event's
   // timestamp and the sim.queue section diverges (see docs/checkpoint.md).
   result.scenario->run_to_event_count(snap.cursor_events);
-  if (snap.cursor_time > result.scenario->simulation().now()) {
-    result.scenario->simulation().queue().advance_now(snap.cursor_time);
+  sim::EventQueue& queue = result.scenario->simulation().queue();
+  if (snap.cursor_time > queue.now()) {
+    // The clock may only idle past an empty stretch. A replay holding a live
+    // event before the captured clock is not the captured timeline (e.g. a
+    // restore that omitted the capture's prologue): report, don't advance.
+    const auto pending = queue.pending_events();
+    if (!pending.empty() && pending.front().at < snap.cursor_time) {
+      result.divergence =
+          "replay has a live event at t=" +
+          std::to_string(pending.front().at.ns()) +
+          "ns before the captured clock t=" +
+          std::to_string(snap.cursor_time.ns()) + "ns";
+      return result;
+    }
+    queue.advance_now(snap.cursor_time);
   }
 
   sim::Snapshot replayed = capture_snapshot(*result.scenario, job, snap.label);

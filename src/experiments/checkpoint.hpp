@@ -39,7 +39,8 @@ struct RestoreResult {
   /// True when the replayed image matched the snapshot byte-for-byte.
   bool verified = false;
   /// Empty when verified; otherwise the first diverging section, as
-  /// reported by sim::Snapshot::describe_divergence.
+  /// reported by sim::Snapshot::describe_divergence, or the replayed live
+  /// event that precedes the captured clock.
   std::string divergence;
 };
 

@@ -55,13 +55,10 @@ struct ScenarioConfig {
   SchedulerKind scheduler = SchedulerKind::kEcmp;
   /// Attach a NetFlow probe on the shuffle port (needed for Fig. 5).
   bool enable_netflow = false;
-  /// Fabric rate engine; kFullRecompute only for differential testing and
-  /// baseline benchmarking (allocations are identical by construction).
-  net::RateEngine rate_engine = net::RateEngine::kIncremental;
-  /// Defer fabric rate recomputes to same-instant cohort boundaries (one
-  /// recompute per burst of simultaneous events). Observationally identical
-  /// to eager recomputes; see docs/architecture.md.
-  bool coalesce_cohorts = false;
+  /// Fabric rate engine; kFullRecompute is the oracle for differential
+  /// testing and divergence bisection (allocations are identical by
+  /// construction).
+  net::RateEngine rate_engine = net::RateEngine::kHierarchical;
 };
 
 /// One knob set for the control-plane fault ablation: how broken are the two

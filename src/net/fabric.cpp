@@ -16,14 +16,6 @@ namespace {
 constexpr double kDoneEpsilonBytes = 0.5;
 constexpr std::uint32_t kNoPos = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kNoLink = std::numeric_limits<std::uint32_t>::max();
-
-/// Min-heap order on (eta, slot); slot breaks ties deterministically.
-struct EtaLater {
-  bool operator()(const auto& a, const auto& b) const {
-    if (a.eta_ns != b.eta_ns) return a.eta_ns > b.eta_ns;
-    return a.slot > b.slot;
-  }
-};
 }  // namespace
 
 Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
@@ -39,38 +31,22 @@ Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
       residual_(topo.link_count(), 0.0),
       unfixed_weight_(topo.link_count(), 0.0),
       unfixed_count_(topo.link_count(), 0),
-      link_share_(topo.link_count(), 0.0),
-      link_in_comp_(topo.link_count(), 0),
-      hier_(cfg.rate_engine == RateEngine::kHierarchical),
+      link_rank_(topo.link_count(), 0),
+      link_touched_(topo.link_count(), 0),
       last_settle_(sim.now()) {
-  if (hier_) {
-    // Locality groups from the topology, plus one shared core group (last
-    // index) for links whose endpoints straddle groups or carry none.
-    num_groups_ = topo.group_count() + 1;
-    const auto core = static_cast<std::uint32_t>(num_groups_ - 1);
-    link_group_.resize(topo.link_count());
-    link_rank_.assign(topo.link_count(), 0);
-    link_touched_.assign(topo.link_count(), 0);
-    group_links_.assign(num_groups_, {});
-    group_flows_.assign(num_groups_, {});
-    group_mark_.assign(num_groups_, 0);
-    for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
-      const std::int32_t g = topo.link_group(LinkId{l});
-      const std::uint32_t idx = g < 0 ? core : static_cast<std::uint32_t>(g);
-      link_group_[l] = idx;
-      group_links_[idx].push_back(l);  // ascending: l ascends
-    }
-  }
-  if (cfg_.coalesce_cohorts) {
-    cohort_token_ =
-        sim.queue().add_cohort_listener([this] { flush_coalesced(); });
-    cohort_listener_registered_ = true;
-  }
-}
-
-Fabric::~Fabric() {
-  if (cohort_listener_registered_) {
-    sim_->queue().remove_cohort_listener(cohort_token_);
+  // Locality groups from the topology, plus one shared core group (last
+  // index) for links whose endpoints straddle groups or carry none.
+  num_groups_ = topo.group_count() + 1;
+  const auto core = static_cast<std::uint32_t>(num_groups_ - 1);
+  link_group_.resize(topo.link_count());
+  group_links_.assign(num_groups_, {});
+  group_flows_.assign(num_groups_, {});
+  group_mark_.assign(num_groups_, 0);
+  for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
+    const std::int32_t g = topo.link_group(LinkId{l});
+    const std::uint32_t idx = g < 0 ? core : static_cast<std::uint32_t>(g);
+    link_group_[l] = idx;
+    group_links_[idx].push_back(l);  // ascending: l ascends
   }
 }
 
@@ -101,8 +77,6 @@ std::uint32_t Fabric::acquire_slot() {
   callbacks_.emplace_back();
   active_pos_.push_back(kNoPos);
   flow_fixed_.push_back(0);
-  flow_in_comp_.push_back(0);
-  eta_stamp_.push_back(0);
   arena_weight_.push_back(0.0);
   arena_rate_bps_.push_back(0.0);
   arena_eta_ns_.push_back(-1);
@@ -120,8 +94,7 @@ std::uint32_t Fabric::acquire_slot() {
 void Fabric::release_slot(std::uint32_t slot) {
   // The completed Flow record stays readable until the slot is reused.
   callbacks_[slot] = nullptr;
-  ++eta_stamp_[slot];
-  if (hier_) free_path_row(slot);
+  free_path_row(slot);
   free_slots_.push_back(slot);
 }
 
@@ -304,7 +277,7 @@ FlowId Fabric::start_flow(FlowSpec spec, FlowCompleteFn on_complete) {
     insert_link_flow(l, id);
     mark_dirty(l);
   }
-  if (hier_) arena_admit(slot);
+  arena_admit(slot);
   settle_and_recompute();
   for (auto* obs : observers_) {
     obs->on_flow_started(*this, id, sim_->now());
@@ -319,7 +292,7 @@ void Fabric::set_flow_weight(FlowId id, double weight) {
   if (f.completed || f.spec.weight == weight) return;
   settle();
   f.spec.weight = weight;
-  if (hier_) arena_weight_[id.value()] = weight;
+  arena_weight_[id.value()] = weight;
   for (LinkId l : f.spec.path) mark_dirty(l);
   after_mutation();
 }
@@ -335,16 +308,14 @@ void Fabric::reroute_flow(FlowId id, std::vector<LinkId> new_path) {
     remove_link_flow(l, id);
     mark_dirty(l);
   }
-  if (hier_) {
-    unregister_flow_groups(id.value());
-    free_path_row(id.value());
-  }
+  unregister_flow_groups(id.value());
+  free_path_row(id.value());
   f.spec.path = std::move(new_path);
   for (LinkId l : f.spec.path) {
     insert_link_flow(l, id);
     mark_dirty(l);
   }
-  if (hier_) arena_admit(id.value());
+  arena_admit(id.value());
   after_mutation();
 }
 
@@ -379,18 +350,15 @@ util::BitsPerSec Fabric::link_cbr_load(LinkId l) const {
 }
 
 util::BitsPerSec Fabric::link_elastic_rate(LinkId l) const {
-  maybe_flush();
   return util::BitsPerSec{elastic_rate_bps_[l.value()]};
 }
 
 util::BitsPerSec Fabric::link_class_rate(LinkId l, FlowClass cls) const {
-  maybe_flush();
   return util::BitsPerSec{
       class_rate_bps_[l.value()][static_cast<std::size_t>(cls)]};
 }
 
 double Fabric::link_utilization(LinkId l) const {
-  maybe_flush();
   if (!link_up_[l.value()]) return 0.0;  // a dead port serves nothing
   const double cap = topo_->link(l).capacity.bps();
   if (cap <= 0.0) return 0.0;
@@ -421,19 +389,12 @@ void Fabric::restore_link(LinkId l) {
 
 const Flow& Fabric::flow(FlowId id) const {
   assert(id.value() < flows_.size());
-  // A mid-cohort caller must see the rate an eager fabric would have
-  // computed at this instant — flush the deferred fill first.
-  maybe_flush();
   return flows_[id.value()];
 }
 
 std::span<const LinkId> Fabric::flow_path(FlowId id) const {
   assert(id.value() < flows_.size());
   const std::uint32_t slot = id.value();
-  if (!hier_) {
-    const auto& p = flows_[slot].spec.path;
-    return {p.data(), p.size()};
-  }
   const std::uint32_t off = path_off_[slot];
   assert((off != kNoPos || path_len_[slot] == 0) &&
          "stale FlowId: arena path row was recycled");
@@ -459,11 +420,6 @@ void Fabric::settle() {
     last_settle_ = now;
     return;
   }
-  // Coalescing contract: a deferred recompute must flush (cohort boundary
-  // or read) before simulated time advances, or flows would integrate at
-  // stale rates.
-  assert(!recompute_pending_ &&
-         "deferred recompute leaked across a time advance");
   ++counters_.settles;
   const double secs = dt.seconds();
   for (FlowId id : active_) {
@@ -490,39 +446,6 @@ void Fabric::settle() {
   last_settle_ = now;
 }
 
-void Fabric::set_rate(Flow& f, double rate_bps) {
-  const util::BitsPerSec r{rate_bps};
-  if (f.rate == r) return;  // eta unchanged: absolute deadline is invariant
-  f.rate = r;
-  push_eta(f);
-}
-
-void Fabric::push_eta(Flow& f) {
-  const std::uint32_t slot = f.id.value();
-  const std::uint64_t stamp = ++eta_stamp_[slot];
-  if (f.rate.bps() <= 0.0) return;  // starved: re-examined on the next change
-  // Ceil to the next nanosecond so the settled remainder at the event is
-  // never still above the epsilon. Deadlines anchor at last_settle_, the
-  // instant the remaining volume was settled to — identical to now() on
-  // every eager path (rates change only right after a settle), and the
-  // correct anchor when a coalesced flush runs after the clock moved on.
-  const double secs = f.remaining_bytes / f.rate.bytes_per_sec();
-  const auto eta_ns =
-      last_settle_.ns() + static_cast<std::int64_t>(std::ceil(secs * 1e9));
-  eta_heap_.push_back(EtaEntry{eta_ns, slot, stamp});
-  std::push_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-  if (eta_heap_.size() > 64 && eta_heap_.size() > 8 * active_.size()) {
-    compact_eta_heap();
-  }
-}
-
-void Fabric::compact_eta_heap() {
-  std::erase_if(eta_heap_, [this](const EtaEntry& e) {
-    return e.stamp != eta_stamp_[e.slot];
-  });
-  std::make_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-}
-
 void Fabric::recompute_rates() {
   ++counters_.recomputes;
   if (cfg_.rate_engine == RateEngine::kFullRecompute) {
@@ -531,173 +454,21 @@ void Fabric::recompute_rates() {
     return;
   }
   if (dirty_links_.empty()) return;  // probe-forced accounting point
-  if (hier_) {
-    collect_component_hier();
-    clear_dirty();
-    fill_component_hier();
-    return;
-  }
-  collect_component();
+  collect_component_hier();
   clear_dirty();
-  fill_component();
+  fill_component_hier();
 }
 
 void Fabric::after_mutation() {
-  if (cfg_.coalesce_cohorts) {
-    ++counters_.deferred_recomputes;
-    recompute_pending_ = true;
-    sim_->queue().mark_cohort_activity();
-    return;
-  }
   recompute_rates();
   schedule_next_completion();
-}
-
-void Fabric::flush_coalesced() {
-  if (!recompute_pending_) return;
-  recompute_pending_ = false;
-  ++counters_.cohort_flushes;
-  recompute_rates();
-  schedule_next_completion();
-}
-
-void Fabric::set_cohort_coalescing(bool on) {
-  // Runtime toggle so a caller (the scaling bench compares engine
-  // generations this way) can ramp with coalescing and then measure eager
-  // semantics. Turning it off materializes any pending cohort first, so the
-  // fabric is exactly the state an always-eager run would hold here.
-  if (on == cfg_.coalesce_cohorts) return;
-  if (!on) {
-    flush_coalesced();
-    cfg_.coalesce_cohorts = false;
-    return;
-  }
-  cfg_.coalesce_cohorts = true;
-  if (!cohort_listener_registered_) {
-    cohort_token_ =
-        sim_->queue().add_cohort_listener([this] { flush_coalesced(); });
-    cohort_listener_registered_ = true;
-  }
-}
-
-void Fabric::maybe_flush() const {
-  // Logically const: flushing only materializes the state an eager fabric
-  // would already hold at this instant.
-  if (recompute_pending_) const_cast<Fabric*>(this)->flush_coalesced();
-}
-
-void Fabric::collect_component() {
-  // BFS over the bipartite link/flow graph from the dirty seed: any flow
-  // crossing a touched link, and any link such a flow crosses, can see its
-  // allocation change; everything outside the closure provably cannot.
-  comp_links_.clear();
-  comp_flows_.clear();
-  for (std::uint32_t l : dirty_links_) {
-    link_in_comp_[l] = 1;
-    comp_links_.push_back(l);
-  }
-  for (std::size_t head = 0; head < comp_links_.size(); ++head) {
-    const std::uint32_t l = comp_links_[head];
-    for (FlowId fid : link_flows_[l]) {
-      const std::uint32_t slot = fid.value();
-      if (flow_in_comp_[slot]) continue;
-      flow_in_comp_[slot] = 1;
-      comp_flows_.push_back(slot);
-      for (LinkId l2 : flows_[slot].spec.path) {
-        if (link_in_comp_[l2.value()]) continue;
-        link_in_comp_[l2.value()] = 1;
-        comp_links_.push_back(l2.value());
-      }
-    }
-  }
-  std::sort(comp_links_.begin(), comp_links_.end());
-  for (std::uint32_t l : comp_links_) link_in_comp_[l] = 0;
-  for (std::uint32_t s : comp_flows_) flow_in_comp_[s] = 0;
-  counters_.links_touched += comp_links_.size();
-  counters_.flows_touched += comp_flows_.size();
-  if (comp_links_.size() == link_flows_.size()) ++counters_.full_fills;
-}
-
-void Fabric::fill_component() {
-  for (std::uint32_t l : comp_links_) {
-    elastic_rate_bps_[l] = 0.0;
-    class_rate_bps_[l].fill(0.0);
-    residual_[l] = elastic_headroom(l);
-    double weight = 0.0;
-    std::uint32_t count = 0;
-    for (FlowId fid : link_flows_[l]) {
-      weight += flows_[fid.value()].spec.weight;
-      ++count;
-    }
-    unfixed_weight_[l] = weight;
-    unfixed_count_[l] = count;
-    link_share_[l] = residual_[l] / std::max(weight, 1e-12);
-  }
-  for (std::uint32_t slot : comp_flows_) flow_fixed_[slot] = 0;
-
-  // Weighted progressive filling: repeatedly saturate the link with the
-  // smallest fair share per unit weight, freeze its flows at weight x share,
-  // and subtract them everywhere. Weight 1 on every flow degenerates to the
-  // classic max-min allocation. Candidate links that empty out are compacted
-  // away (in order) so later rounds scan only still-contended links.
-  cand_links_ = comp_links_;
-  std::size_t remaining_flows = comp_flows_.size();
-  while (remaining_flows > 0) {
-    double best_share = std::numeric_limits<double>::infinity();
-    std::uint32_t best_link = kNoLink;
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < cand_links_.size(); ++i) {
-      const std::uint32_t l = cand_links_[i];
-      // The integer count is the authoritative emptiness test: the weight
-      // sum accumulates floating-point residue as flows freeze.
-      if (unfixed_count_[l] == 0) continue;
-      cand_links_[out++] = l;
-      const double share = link_share_[l];  // cached, refreshed on freeze
-      if (share < best_share) {
-        best_share = share;
-        best_link = l;
-      }
-    }
-    cand_links_.resize(out);
-    assert(best_link != kNoLink);
-    if (best_share < 0.0) best_share = 0.0;
-
-    // Freeze every unfixed flow crossing the bottleneck (ascending by id —
-    // the same order the full fill visits them).
-    for (FlowId fid : link_flows_[best_link]) {
-      const std::uint32_t slot = fid.value();
-      if (flow_fixed_[slot]) continue;
-      Flow& f = flows_[slot];
-      const double rate = best_share * f.spec.weight;
-      set_rate(f, rate);
-      flow_fixed_[slot] = 1;
-      --remaining_flows;
-      for (LinkId l : f.spec.path) {
-        const std::uint32_t lv = l.value();
-        residual_[lv] = std::max(0.0, residual_[lv] - rate);
-        unfixed_weight_[lv] =
-            std::max(0.0, unfixed_weight_[lv] - f.spec.weight);
-        assert(unfixed_count_[lv] > 0);
-        --unfixed_count_[lv];
-        link_share_[lv] = residual_[lv] / std::max(unfixed_weight_[lv], 1e-12);
-      }
-    }
-  }
-
-  for (std::uint32_t l : comp_links_) {
-    for (FlowId fid : link_flows_[l]) {
-      const Flow& f = flows_[fid.value()];
-      elastic_rate_bps_[l] += f.rate.bps();
-      class_rate_bps_[l][static_cast<std::size_t>(f.spec.cls)] += f.rate.bps();
-    }
-  }
 }
 
 void Fabric::fill_full() {
   // The original O(rounds × links × flows) progressive fill, preserved as
-  // the baseline. Flows are visited in ascending id order at every step so
-  // the floating-point operation sequence matches fill_component() exactly
-  // (the differential tests rely on bit-identical allocations).
+  // the oracle. Flows are visited in ascending id order at every step so
+  // the floating-point operation sequence matches fill_component_hier()
+  // exactly (the differential tests rely on bit-identical allocations).
   counters_.links_touched += link_flows_.size();
   counters_.flows_touched += active_.size();
   ++counters_.full_fills;
@@ -746,7 +517,7 @@ void Fabric::fill_full() {
                       [best_link](LinkId l) { return l.value() == best_link; });
       if (!crosses) continue;
       const double rate = best_share * f.spec.weight;
-      set_rate(f, rate);
+      set_rate_hier(slot, rate);
       flow_fixed_[slot] = 1;
       --remaining_flows;
       for (LinkId l : f.spec.path) {
@@ -772,14 +543,16 @@ void Fabric::fill_full() {
 void Fabric::collect_component_hier() {
   // Group-closure collection: seed with the dirty links' groups, then close
   // over pod coupling — every flow of a marked group drags in the other
-  // groups its path touches (at most src pod + core + dst pod). The result
-  // is a superset of collect_component()'s exact flow-by-flow BFS closure:
-  // whole groups enter at once, so links of a closed group that no affected
-  // flow crosses ride along. That is provably harmless to the fill — such
-  // links either carry no flows (unfixed_count 0, skipped every round) or
-  // carry flows that are themselves in the component (membership is
-  // group-complete), so the floating-point operation sequence matches the
-  // exact component's, which matches fill_full()'s.
+  // groups its path touches (at most src pod + core + dst pod). Any flow
+  // crossing a touched link, and any link such a flow crosses, can see its
+  // allocation change; everything outside the closure provably cannot. The
+  // result is a superset of the exact flow-by-flow closure: whole groups
+  // enter at once, so links of a closed group that no affected flow crosses
+  // ride along. That is provably harmless to the fill — such links either
+  // carry no flows (unfixed_count 0, skipped every round) or carry flows
+  // that are themselves in the component (membership is group-complete), so
+  // the floating-point operation sequence matches the exact component's,
+  // which matches fill_full()'s.
   ++hier_epoch_;
   comp_groups_.clear();
   comp_links_.clear();
@@ -816,13 +589,16 @@ void Fabric::collect_component_hier() {
 }
 
 void Fabric::fill_component_hier() {
-  // fill_component() with every Flow-record read replaced by its dense
-  // arena mirror (weights, classes, path rows) and the per-round bottleneck
-  // search flattened into a rank-indexed share array. Links that empty out
-  // are parked at +inf instead of compacted away, so the scan is a pure
+  // Weighted progressive filling over the collected component: repeatedly
+  // saturate the link with the smallest fair share per unit weight, freeze
+  // its flows at weight x share, and subtract them everywhere. Weight 1 on
+  // every flow degenerates to the classic max-min allocation. Flow data is
+  // read from the dense arena mirrors (weights, classes, path rows) and the
+  // per-round bottleneck search is flattened into a rank-indexed share
+  // array. Links that empty out are parked at +inf, so the scan is a pure
   // branch-free min over contiguous doubles — the compiler vectorizes it —
   // and a second pass recovers the first rank holding the min, which is
-  // exactly the link the legacy strict `share < best` scan would pick
+  // exactly the link fill_full()'s strict `share < best` scan would pick
   // (ranks follow comp_links_ order). Every share that feeds arithmetic is
   // still residual / max(weight, 1e-12), so allocations stay bit-identical.
   const std::size_t n = comp_links_.size();
@@ -875,6 +651,8 @@ void Fabric::fill_component_hier() {
     assert(unfixed_count_[best_link] > 0);
     if (best_share < 0.0) best_share = 0.0;
 
+    // Freeze every unfixed flow crossing the bottleneck (ascending by id —
+    // the same order the full fill visits them).
     for (FlowId fid : link_flows_[best_link]) {
       const std::uint32_t slot = fid.value();
       if (flow_fixed_[slot]) continue;
@@ -939,30 +717,23 @@ void Fabric::push_eta_hier(std::uint32_t slot, const Flow& f) {
     arena_eta_ns_[slot] = -1;  // starved: re-examined on the next change
     return;
   }
-  // Same arithmetic as push_eta(); the deadline just lives in a dense
-  // per-slot array instead of a lazy heap.
+  // Ceil to the next nanosecond so the settled remainder at the event is
+  // never still above the epsilon. Deadlines anchor at last_settle_, the
+  // instant the remaining volume was settled to (rates change only right
+  // after a settle).
   const double secs = f.remaining_bytes / f.rate.bytes_per_sec();
   arena_eta_ns_[slot] =
       last_settle_.ns() + static_cast<std::int64_t>(std::ceil(secs * 1e9));
 }
 
 void Fabric::schedule_next_completion() {
+  // Dense min over the active set; a flat 8-byte-per-flow scan beats heap
+  // maintenance once most rates change on every fill. The min alone decides
+  // the event time, so no ordering state needs maintaining.
   std::int64_t eta = -1;
-  if (hier_) {
-    // Dense min over the active set; a flat 8-byte-per-flow scan beats heap
-    // maintenance once most rates change on every fill. The min alone
-    // decides the event time, so no ordering state needs maintaining.
-    for (FlowId id : active_) {
-      const std::int64_t e = arena_eta_ns_[id.value()];
-      if (e >= 0 && (eta < 0 || e < eta)) eta = e;
-    }
-  } else {
-    while (!eta_heap_.empty() &&
-           eta_heap_.front().stamp != eta_stamp_[eta_heap_.front().slot]) {
-      std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-      eta_heap_.pop_back();
-    }
-    if (!eta_heap_.empty()) eta = eta_heap_.front().eta_ns;
+  for (FlowId id : active_) {
+    const std::int64_t e = arena_eta_ns_[id.value()];
+    if (e >= 0 && (eta < 0 || e < eta)) eta = e;
   }
   if (eta < 0) {
     completion_event_.cancel();
@@ -991,12 +762,9 @@ void Fabric::complete_flow(std::uint32_t slot) {
     remove_link_flow(l, f.id);
     mark_dirty(l);
   }
-  ++eta_stamp_[slot];
-  if (hier_) {
-    unregister_flow_groups(slot);
-    arena_rate_bps_[slot] = 0.0;
-    arena_eta_ns_[slot] = -1;
-  }
+  unregister_flow_groups(slot);
+  arena_rate_bps_[slot] = 0.0;
+  arena_eta_ns_[slot] = -1;
   f.completed = true;
   f.completed_at = sim_->now();
   f.remaining_bytes = 0.0;
@@ -1016,50 +784,29 @@ void Fabric::on_completion_event() {
   // Collect finished flows first: callbacks may start new flows, which
   // mutates active_ and triggers nested recomputes.
   std::vector<FlowId> done;
-  if (hier_) {
-    // Scan the dense deadline array for due flows, then process in
-    // (eta, slot) order — exactly the order the legacy heap pops them.
-    due_slots_.clear();
-    for (FlowId id : active_) {
-      const std::uint32_t slot = id.value();
-      const std::int64_t e = arena_eta_ns_[slot];
-      if (e >= 0 && e <= now_ns) due_slots_.push_back(slot);
+  // Scan the dense deadline array for due flows, then process in
+  // (eta, slot) order.
+  due_slots_.clear();
+  for (FlowId id : active_) {
+    const std::uint32_t slot = id.value();
+    const std::int64_t e = arena_eta_ns_[slot];
+    if (e >= 0 && e <= now_ns) due_slots_.push_back(slot);
+  }
+  std::sort(due_slots_.begin(), due_slots_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              if (arena_eta_ns_[a] != arena_eta_ns_[b]) {
+                return arena_eta_ns_[a] < arena_eta_ns_[b];
+              }
+              return a < b;
+            });
+  for (std::uint32_t slot : due_slots_) {
+    Flow& f = flows_[slot];
+    if (f.remaining_bytes > kDoneEpsilonBytes) {
+      push_eta_hier(slot, f);  // defensive: deadline drifted, re-arm
+      continue;
     }
-    std::sort(due_slots_.begin(), due_slots_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                if (arena_eta_ns_[a] != arena_eta_ns_[b]) {
-                  return arena_eta_ns_[a] < arena_eta_ns_[b];
-                }
-                return a < b;
-              });
-    for (std::uint32_t slot : due_slots_) {
-      Flow& f = flows_[slot];
-      if (f.remaining_bytes > kDoneEpsilonBytes) {
-        push_eta_hier(slot, f);  // defensive: deadline drifted, re-arm
-        continue;
-      }
-      done.push_back(f.id);
-      complete_flow(slot);
-    }
-  } else {
-    while (!eta_heap_.empty()) {
-      const EtaEntry top = eta_heap_.front();
-      if (top.stamp != eta_stamp_[top.slot]) {
-        std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-        eta_heap_.pop_back();
-        continue;
-      }
-      if (top.eta_ns > now_ns) break;
-      std::pop_heap(eta_heap_.begin(), eta_heap_.end(), EtaLater{});
-      eta_heap_.pop_back();
-      Flow& f = flows_[top.slot];
-      if (f.remaining_bytes > kDoneEpsilonBytes) {
-        push_eta(f);  // defensive: deadline drifted, re-arm
-        continue;
-      }
-      done.push_back(f.id);
-      complete_flow(top.slot);
-    }
+    done.push_back(f.id);
+    complete_flow(slot);
   }
   recompute_rates();
   schedule_next_completion();
@@ -1086,7 +833,7 @@ void Fabric::settle_and_recompute() {
 
 void Fabric::encode_counters(sim::StateEncoder& enc) const {
   // Rate-engine observability: deterministic within one engine, but
-  // kIncremental and kFullRecompute legitimately differ here even though
+  // kHierarchical and kFullRecompute legitimately differ here even though
   // their allocations are contracted identical — which is why this lives in
   // its own snapshot section the cross-arm bisection skips.
   enc.put_u64(counters_.recomputes);
@@ -1095,8 +842,6 @@ void Fabric::encode_counters(sim::StateEncoder& enc) const {
   enc.put_u64(counters_.flows_touched);
   enc.put_u64(counters_.completion_events);
   enc.put_u64(counters_.settles);
-  enc.put_u64(counters_.deferred_recomputes);
-  enc.put_u64(counters_.cohort_flushes);
 }
 
 void Fabric::encode_state(sim::StateEncoder& enc) const {

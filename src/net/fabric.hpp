@@ -9,33 +9,21 @@
 // settled against simulated time before every recompute, so byte accounting
 // is exact.
 //
-// Three rate engines share the same progressive-fill arithmetic:
-//  * kFullRecompute reruns the fill over every link and flow on each change
-//    (the original O(rounds × links × flows) algorithm, kept as the
-//    differential-testing and benchmarking baseline);
-//  * kIncremental (default) tracks the links dirtied by each change and
-//    refills only the connected component of links/flows reachable from
-//    them through shared links — flows in untouched components keep their
-//    rates, which are bit-identical to what a full fill would recompute;
-//  * kHierarchical exploits the topology's locality-group partition
-//    (Topology::node_group — fat-tree pods coupled through core links):
-//    the affected component is collected group-by-group over flat
-//    struct-of-arrays flow mirrors instead of flow-by-flow BFS, the fill
-//    reads those dense arrays (weights, classes, rates, path rows in a
-//    shared arena) instead of chasing Flow records, and completion
-//    deadlines live in a dense per-slot array scanned linearly rather than
-//    a lazy heap. The collected component is a superset of the exact BFS
-//    component (whole groups at a time), which is provably harmless: extra
-//    links carry no unfixed flows and are skipped by the fill, so the
-//    floating-point operation sequence — and therefore every allocated
-//    rate — stays bit-identical to kFullRecompute.
-//
-// Orthogonally, `FabricConfig::coalesce_cohorts` batches rate recomputes:
-// mutations inside one same-instant event cohort mark state dirty and defer
-// the fill to the cohort boundary (an EventQueue cohort listener), so a
-// burst of simultaneous arrivals pays one fill instead of one per arrival.
-// Any rate read mid-cohort flushes the pending fill first, which makes the
-// coalesced fabric observationally equivalent to the eager one.
+// One production rate engine, kHierarchical, plus the kFullRecompute oracle.
+// kHierarchical exploits the topology's locality-group partition
+// (Topology::node_group — fat-tree pods or racks coupled through core links):
+// a change refills only the component of links and flows it can affect,
+// collected group-by-group over flat struct-of-arrays flow mirrors. The fill
+// reads those dense arrays (weights, classes, rates, path rows in a shared
+// arena) instead of chasing Flow records, and completion deadlines live in a
+// dense per-slot array scanned linearly. The collected component is a
+// superset of the exact component (whole groups at a time), which is
+// provably harmless: extra links carry no unfixed flows and are skipped by
+// the fill, so the floating-point operation sequence — and therefore every
+// allocated rate — stays bit-identical to kFullRecompute, which reruns the
+// original fill over every link and flow on each change and exists only so
+// differential tests and divergence bisection have an oracle to compare
+// against.
 #pragma once
 
 #include <array>
@@ -105,26 +93,18 @@ using FlowCompleteFn = std::function<void(FlowId, util::SimTime)>;
 
 /// Which progressive-fill driver recomputes rates on fabric changes.
 enum class RateEngine {
-  /// Dirty-set incremental: refill only the connected component of
-  /// links/flows affected by the change (falls back to a full fill when the
-  /// component spans every link). Default.
-  kIncremental,
   /// Legacy full fill over all links and flows on every change. Kept as the
-  /// side-by-side baseline for differential tests and the scaling bench.
+  /// oracle for differential tests and divergence bisection.
   kFullRecompute,
   /// Group-partitioned component collection + struct-of-arrays fill. Uses
   /// Topology's locality groups (pods/racks vs. the shared core); on
   /// topologies without group metadata it degrades to full-component fills
-  /// that are still bit-identical, just not faster.
+  /// that are still bit-identical, just not faster. Default.
   kHierarchical,
 };
 
 struct FabricConfig {
-  RateEngine rate_engine = RateEngine::kIncremental;
-  /// Defer rate recomputes to same-instant event-cohort boundaries (see
-  /// file header). Orthogonal to the engine choice; allocations remain
-  /// bit-identical because mid-cohort reads flush the deferred fill.
-  bool coalesce_cohorts = false;
+  RateEngine rate_engine = RateEngine::kHierarchical;
 };
 
 /// Hot-path counters for perf-trajectory tracking across PRs.
@@ -135,14 +115,11 @@ struct FabricCounters {
   std::uint64_t flows_touched = 0;     // Σ flows revisited per fill
   std::uint64_t completion_events = 0; // completion events fired
   std::uint64_t settles = 0;           // non-empty settle intervals
-  std::uint64_t deferred_recomputes = 0;  // recomputes absorbed by coalescing
-  std::uint64_t cohort_flushes = 0;       // deferred fills actually run
 };
 
 class Fabric {
  public:
   Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg = {});
-  ~Fabric();
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -199,8 +176,8 @@ class Fabric {
   [[nodiscard]] util::BitsPerSec link_residual_capacity(LinkId l) const;
 
   [[nodiscard]] const Flow& flow(FlowId id) const;
-  /// Current path of `id` as a view. Under kHierarchical this resolves the
-  /// flow's arena path row and carries a use-after-recycle guard: reading a
+  /// Current path of `id` as a view. This resolves the flow's arena path
+  /// row and carries a use-after-recycle guard: reading a
   /// slot whose row was freed by swap-pop recycling is a deterministic
   /// debug-build abort (and an empty span in release builds) instead of a
   /// wrong-path read — the fabric analogue of PathId's generation stamp.
@@ -233,41 +210,20 @@ class Fabric {
   /// can force an accounting point.
   void settle_and_recompute();
 
-  /// Runs a recompute deferred by cohort coalescing right now; no-op when
-  /// eager or already clean. Snapshot capture calls this before encoding so
-  /// the capture-time flush lands at the same replay position on both sides
-  /// of a restore (see docs/checkpoint.md); rate accessors call it
-  /// internally, so user code never needs to.
-  void flush_coalesced();
-
-  /// Toggles cohort coalescing at runtime. Turning it off flushes any
-  /// pending cohort first, so the fabric lands in exactly the state an
-  /// always-eager run would hold at this instant; turning it on registers
-  /// the cohort listener if this fabric never had one. The scaling bench
-  /// uses this to ramp every arm coalesced but measure the oracle engines
-  /// under their original eager per-event semantics.
-  void set_cohort_coalescing(bool on);
-
   /// Serializes the fabric's logical state for snapshots: counters, every
   /// active flow (sorted by id) with its exact settled remaining volume and
   /// rate bits, CBR streams, and per-link up/load/rate state. Physical
-  /// scratch (slot free lists, dirty sets, ETA heap layout) is excluded —
+  /// scratch (slot free lists, dirty sets, arena layout) is excluded —
   /// it is reconstructed by replay and never observable.
   void encode_state(sim::StateEncoder& enc) const;
 
   /// Rate-engine work counters, serialized as their own snapshot section:
-  /// kIncremental and kFullRecompute allocate identical rates but touch
+  /// kHierarchical and kFullRecompute allocate identical rates but touch
   /// different amounts of state doing it, so divergence bisection compares
   /// behavioral sections only (see Snapshot::describe_divergence).
   void encode_counters(sim::StateEncoder& enc) const;
 
  private:
-  struct EtaEntry {
-    std::int64_t eta_ns;
-    std::uint32_t slot;
-    std::uint64_t stamp;
-  };
-
   /// Power-of-two size-bucketed span allocator for arena rows (flow paths,
   /// flow group lists). Freed rows go onto a per-bucket LIFO free list, so
   /// allocation order — and therefore every offset — is a deterministic
@@ -292,8 +248,8 @@ class Fabric {
   void after_mutation();
   void schedule_next_completion();
   void on_completion_event();
-  /// Completion bookkeeping shared by the heap- and arena-driven event
-  /// handlers (swap-pop from active_, link/group deregistration, stats).
+  /// Completion bookkeeping for one due flow (swap-pop from active_,
+  /// link/group deregistration, stats).
   void complete_flow(std::uint32_t slot);
 
   std::uint32_t acquire_slot();
@@ -306,16 +262,8 @@ class Fabric {
   /// Residual capacity a link offers elastic flows (shared by both fills so
   /// the arithmetic is bit-identical).
   [[nodiscard]] double elastic_headroom(std::uint32_t l) const;
-  void set_rate(Flow& f, double rate_bps);
-  void push_eta(Flow& f);
-  void compact_eta_heap();
-  /// Gathers the component of links/flows reachable from the dirty set into
-  /// comp_links_/comp_flows_.
-  void collect_component();
-  /// Progressive fill restricted to comp_links_/comp_flows_ using the
-  /// per-link flow index.
-  void fill_component();
-  /// Legacy progressive fill over every link and active flow.
+  /// Legacy progressive fill over every link and active flow (the
+  /// kFullRecompute oracle).
   void fill_full();
 
   // --- kHierarchical internals ---
@@ -327,17 +275,17 @@ class Fabric {
   /// Frees the path row; the offset sentinel left behind turns stale
   /// flow_path() reads into deterministic debug aborts.
   void free_path_row(std::uint32_t slot);
-  /// Group-closure component collection (superset of collect_component's
-  /// exact BFS component; see file header for why that is harmless).
+  /// Group-closure component collection into comp_links_/comp_flows_ (a
+  /// superset of the exact component; see file header for why that is
+  /// harmless).
   void collect_component_hier();
-  /// fill_component with all Flow-record reads replaced by arena reads;
-  /// identical floating-point operation sequence.
+  /// Progressive fill restricted to comp_links_/comp_flows_, reading the
+  /// arena mirrors; same floating-point operation sequence as fill_full().
   void fill_component_hier();
+  /// Sets a flow's rate (Flow record and arena mirror) and re-arms its
+  /// completion deadline; both fills write rates through here.
   void set_rate_hier(std::uint32_t slot, double rate_bps);
   void push_eta_hier(std::uint32_t slot, const Flow& f);
-  /// Mid-cohort rate read: flush the deferred fill so coalesced mode is
-  /// observationally equivalent to eager.
-  void maybe_flush() const;
 
   // pythia-lint: allow(snapshot-skip, group) construction wiring and config
   // identity: restore builds a fresh Fabric from the fingerprinted scenario.
@@ -379,13 +327,6 @@ class Fabric {
   std::vector<double> residual_;
   std::vector<double> unfixed_weight_;
   std::vector<std::uint32_t> unfixed_count_;
-  // Cached residual_/max(unfixed_weight_, eps) per link, refreshed only when
-  // a freeze touches the link, so the per-round bottleneck scan compares
-  // instead of dividing. Each cached value is the exact division the inline
-  // expression would produce (same operands), which keeps bottleneck
-  // selection bit-identical to fill_full()'s. fill_component() rebuilds the
-  // cache on entry, so fill_full() need not maintain it.
-  std::vector<double> link_share_;
   // kHierarchical selection scratch: comp_links_[r] has its live share at
   // share_dense_[r] (+inf once the link empties), and link_rank_ inverts the
   // mapping for freeze-time refreshes. A dense array the vectorized min scan
@@ -398,35 +339,19 @@ class Fabric {
   // link per round instead of one per (flow, link) path step.
   std::vector<char> link_touched_;
   std::vector<std::uint32_t> touched_links_;
-  std::vector<char> link_in_comp_;
   std::vector<char> flow_fixed_;        // slot-indexed
-  std::vector<char> flow_in_comp_;      // slot-indexed
   std::vector<std::uint32_t> comp_links_;
-  std::vector<std::uint32_t> cand_links_;
   std::vector<std::uint32_t> comp_flows_;
   std::vector<FlowId> sorted_active_;   // fill_full scratch
 
-  // Lazy min-heap of flow completion instants; stale entries are skipped by
-  // stamp comparison, so a rate change is O(log n) instead of an O(flows)
-  // rescan per event. (Legacy engines only — kHierarchical keeps per-slot
-  // deadlines in arena_eta_ns_ and scans active_ linearly, which is both
-  // cheaper at scale and free of heap-garbage bookkeeping.)
-  // pythia-lint: allow(snapshot-skip, group) lazy completion cache: restore
-  // replay re-pushes an entry per re-admitted flow, and stale entries are
-  // skipped by stamp anyway. scheduled_eta_ns_ IS encoded.
-  std::vector<EtaEntry> eta_heap_;
-  std::vector<std::uint64_t> eta_stamp_;  // slot-indexed
-  std::int64_t scheduled_eta_ns_ = -1;
-
-  // --- struct-of-arrays flow arena (kHierarchical) ---
-  // Dense slot-indexed mirrors of the Flow fields the fill hot loops read;
-  // Flow::spec stays authoritative for the public API. Path rows live in a
-  // shared pool so a fill walks contiguous memory instead of per-flow
-  // vectors.
+  // --- struct-of-arrays flow arena ---
+  // Dense slot-indexed mirrors of the Flow fields the fill hot loops read,
+  // plus each flow's completion deadline; Flow::spec stays authoritative for
+  // the public API. Path rows live in a shared pool so a fill walks
+  // contiguous memory instead of per-flow vectors.
   // pythia-lint: allow(snapshot-skip, group) struct-of-arrays mirror of
   // Flow::spec (which IS encoded): re-admitting the encoded flows through
   // start_flow() repopulates every arena row and the path pool.
-  bool hier_ = false;
   std::vector<double> arena_weight_;        // slot-indexed
   std::vector<double> arena_rate_bps_;      // slot-indexed
   std::vector<std::int64_t> arena_eta_ns_;  // slot-indexed; -1 = starved
@@ -460,18 +385,11 @@ class Fabric {
   std::vector<std::uint32_t> scratch_groups_;  // per-flow dedupe scratch
   std::vector<std::uint32_t> due_slots_;       // completion scan scratch
 
-  // --- cohort coalescing ---
-  // pythia-lint: allow(snapshot-skip, group) cohort plumbing is quiescent at
-  // snapshot cuts (settled instants): no recompute pending, no listener
-  // registered, and the token is only meaningful inside one cohort.
-  bool recompute_pending_ = false;
-  std::size_t cohort_token_ = 0;
-  bool cohort_listener_registered_ = false;
-
   // pythia-lint: allow(snapshot-skip, group) completion_event_ is
   // re-scheduled from the encoded scheduled_eta_ns_ during restore, and
   // observers re-register themselves when the owning system is rebuilt.
-  // last_settle_ IS encoded.
+  // scheduled_eta_ns_ and last_settle_ ARE encoded.
+  std::int64_t scheduled_eta_ns_ = -1;
   util::SimTime last_settle_ = util::SimTime::zero();
   sim::EventHandle completion_event_;
   std::vector<FabricObserver*> observers_;

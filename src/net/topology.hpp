@@ -62,16 +62,18 @@ class Topology {
   /// 5-tuples for ECMP hashing.
   [[nodiscard]] std::uint32_t address_of(NodeId n) const;
 
-  // --- partition metadata (hierarchical rate engine) ---------------------
+  // --- partition metadata (fabric rate engine) ----------------------------
   //
   // Nodes are partitioned into locality groups: one group per fat-tree pod
   // (or leaf-spine rack / two-rack rack), with core/spine/wire switches left
   // in the shared "core" group (`kCoreGroup`). A link inherits its
   // endpoints' group when both agree and falls into the core group
-  // otherwise. The hierarchical max-min engine (`RateEngine::kHierarchical`)
-  // uses this partition to collect dirty components group-by-group instead
-  // of flow-by-flow; topologies without assignments degrade gracefully to a
-  // single core group (every refill is cluster-wide, still bit-identical).
+  // otherwise (so every leaf-spine uplink is a core link). The fabric's
+  // production max-min engine (`RateEngine::kHierarchical`) uses this
+  // partition to collect dirty components group-by-group instead of
+  // flow-by-flow; topologies without assignments degrade gracefully to a
+  // single core group (every refill is cluster-wide, still bit-identical to
+  // the `kFullRecompute` oracle).
 
   /// Sentinel group for nodes outside every locality group (cores/spines).
   static constexpr std::int32_t kCoreGroup = -1;

@@ -35,38 +35,21 @@ EventHandle EventQueue::schedule(util::SimTime at, EventFn fn) {
 }
 
 bool EventQueue::run_one() {
-  for (;;) {
-    skim_cancelled();
-    if (heap_.empty()) {
-      // Drain is a cohort boundary: give listeners a chance to flush
-      // deferred work (which may schedule new events), then look again.
-      if (cohort_dirty_) {
-        notify_cohort_end();
-        continue;
-      }
-      return false;
-    }
-    if (cohort_dirty_ && heap_.front().at > now_) {
-      // About to advance past the current instant — close the cohort first.
-      // A flush may schedule an event at or before the old heap top, so
-      // re-examine the heap rather than running blindly.
-      notify_cohort_end();
-      continue;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Entry entry = std::move(heap_.back());
-    heap_.pop_back();
-    entry.state->fired = true;
-    --live_;
-    assert(entry.at >= now_);
-    now_ = entry.at;
-    ++fired_;
-    if (abort_check_ && fired_ % kAbortCheckStride == 0 && abort_check_()) {
-      throw AbortedError(now_, fired_);
-    }
-    entry.fn();
-    return true;
+  skim_cancelled();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry entry = std::move(heap_.back());
+  heap_.pop_back();
+  entry.state->fired = true;
+  --live_;
+  assert(entry.at >= now_);
+  now_ = entry.at;
+  ++fired_;
+  if (abort_check_ && fired_ % kAbortCheckStride == 0 && abort_check_()) {
+    throw AbortedError(now_, fired_);
   }
+  entry.fn();
+  return true;
 }
 
 std::size_t EventQueue::run_all(std::size_t limit) {
@@ -79,17 +62,8 @@ std::size_t EventQueue::run_until(util::SimTime until) {
   std::size_t n = 0;
   for (;;) {
     skim_cancelled();
-    if (!heap_.empty() && heap_.front().at <= until) {
-      if (run_one()) ++n;
-      continue;
-    }
-    // Parking (or draining) is a cohort boundary; a flush may schedule
-    // events inside the window, so loop instead of breaking outright.
-    if (cohort_dirty_) {
-      notify_cohort_end();
-      continue;
-    }
-    break;
+    if (heap_.empty() || heap_.front().at > until) break;
+    if (run_one()) ++n;
   }
   if (now_ < until) now_ = until;
   return n;
@@ -118,17 +92,6 @@ void EventQueue::advance_now(util::SimTime to) {
   now_ = to;
 }
 
-std::size_t EventQueue::add_cohort_listener(CohortListener fn) {
-  const std::size_t token = next_cohort_token_++;
-  cohort_listeners_.emplace_back(token, std::move(fn));
-  return token;
-}
-
-void EventQueue::remove_cohort_listener(std::size_t token) {
-  std::erase_if(cohort_listeners_,
-                [token](const auto& p) { return p.first == token; });
-}
-
 void EventQueue::skim_cancelled() {
   while (!heap_.empty() && heap_.front().state->cancelled) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -136,13 +99,6 @@ void EventQueue::skim_cancelled() {
     assert(cancelled_in_heap_ > 0);
     --cancelled_in_heap_;
   }
-}
-
-void EventQueue::notify_cohort_end() {
-  // Clear first: a listener that defers new work mid-flush re-arms the flag
-  // and earns another boundary pass.
-  cohort_dirty_ = false;
-  for (auto& [token, fn] : cohort_listeners_) fn();
 }
 
 void EventQueue::maybe_compact() {

@@ -133,34 +133,6 @@ class EventQueue {
     abort_check_ = std::move(should_abort);
   }
 
-  // --- cohort boundaries (batched event coalescing) ----------------------
-  //
-  // A *cohort* is a maximal run of events firing at the same simulated
-  // instant. A subsystem that coalesces work across a cohort (the fabric's
-  // batched rate recompute) registers a listener and calls
-  // mark_cohort_activity() whenever it defers work; the queue then invokes
-  // every listener, in registration order, at the cohort boundary — before
-  // the clock advances past the current instant, when the queue drains, and
-  // before run_until() parks the clock. Listeners may schedule new events
-  // (at now() or later); the loop re-examines the heap after notifying, so
-  // a completion event scheduled by a flush still fires at the right time.
-  // Notification is level-triggered and idempotent: it only happens while
-  // the activity flag is set, and notifying clears the flag, so an inert
-  // listener costs one flag test per boundary and nothing else. Listeners
-  // are NOT events: they consume no sequence numbers and leave the
-  // (time, seq) skeleton — and therefore snapshots and golden traces —
-  // untouched.
-
-  using CohortListener = std::function<void()>;
-
-  /// Registers `fn`; returns a token for remove_cohort_listener.
-  std::size_t add_cohort_listener(CohortListener fn);
-  /// Removes a listener; idempotent, preserves the order of the others.
-  void remove_cohort_listener(std::size_t token);
-  /// Flags deferred work; the next cohort boundary will notify listeners.
-  void mark_cohort_activity() { cohort_dirty_ = true; }
-  [[nodiscard]] bool cohort_activity_pending() const { return cohort_dirty_; }
-
  private:
   struct Entry {
     util::SimTime at;
@@ -184,7 +156,6 @@ class EventQueue {
   /// Pops cancelled entries off the heap top so front() is the next real
   /// event.
   void skim_cancelled();
-  void notify_cohort_end();
 
   // Raw vector + std::push_heap/pop_heap (rather than std::priority_queue)
   // so compaction can erase_if + make_heap in place.
@@ -195,9 +166,6 @@ class EventQueue {
   std::size_t live_ = 0;
   std::size_t cancelled_in_heap_ = 0;
   std::function<bool()> abort_check_;
-  std::vector<std::pair<std::size_t, CohortListener>> cohort_listeners_;
-  std::size_t next_cohort_token_ = 0;
-  bool cohort_dirty_ = false;
 };
 
 }  // namespace pythia::sim

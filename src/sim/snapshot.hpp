@@ -127,7 +127,10 @@ class Snapshot {
   // mode, shard-queue content, admission/coalescing counters and intent
   // tenant/priority; the controller section drops open-batch state (see
   // docs/checkpoint.md).
-  static constexpr std::uint32_t kFormatVersion = 4;
+  // v5: one fabric rate engine — fabric.counters drops the cohort
+  // coalescing counters (deferred recomputes, cohort flushes), and the
+  // scenario fingerprint no longer encodes a coalescing flag.
+  static constexpr std::uint32_t kFormatVersion = 5;
 
   // --- identity + cursor (set by the capturing layer) ---
   std::uint64_t root_seed = 0;

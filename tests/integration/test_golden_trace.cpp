@@ -156,8 +156,8 @@ std::vector<net::LinkId> fat_tree_path(const net::Topology& topo,
   return path;
 }
 
-/// The pinned hierarchical-engine scenario: fat-tree k=8, kHierarchical with
-/// cohort coalescing, a steady backdrop plus three shuffle waves of
+/// The pinned hierarchical-engine scenario: fat-tree k=8, kHierarchical, a
+/// steady backdrop plus three shuffle waves of
 /// simultaneous arrivals. Every start, completion, and the final settled
 /// state image go into the trace, so an engine change that moves any event
 /// time — or any allocation bit — shows up as an explicit golden diff.
@@ -169,13 +169,12 @@ std::string record_hier_fabric_trace() {
   net::Fabric fabric(sim, topo,
                      net::FabricConfig{
                          .rate_engine = net::RateEngine::kHierarchical,
-                         .coalesce_cohorts = true,
                      });
   util::Xoshiro256 rng(1234);
   const auto hosts = topo.hosts();
 
   std::ostringstream trace;
-  trace << "hier_fabric_k8 seed=1234 engine=hierarchical coalesced=1\n";
+  trace << "hier_fabric_k8 seed=1234 engine=hierarchical\n";
   auto on_done = [&trace](net::FlowId id, util::SimTime t) {
     trace << "done t=" << t.ns() << " flow=" << id.value() << "\n";
   };
@@ -194,7 +193,7 @@ std::string record_hier_fabric_trace() {
           << "\n";
   };
 
-  // Backdrop: 16 medium flows at t=0 (one cohort), then three waves of 8
+  // Backdrop: 16 medium flows at t=0, then three waves of 8
   // simultaneous shuffle arrivals 10 ms apart.
   for (int i = 0; i < 16; ++i) {
     start_one(20'000'000 + static_cast<std::int64_t>(rng.below(30'000'000)));
@@ -210,7 +209,6 @@ std::string record_hier_fabric_trace() {
   while (sim.queue().run_one()) {
   }
 
-  fabric.flush_coalesced();
   sim::StateEncoder enc;
   fabric.encode_state(enc);
   std::uint64_t h = 1469598103934665603ULL;

@@ -1,11 +1,10 @@
-// Three-engine differential validation of the fabric rate engines. Every
-// scenario is replayed under kFullRecompute, kIncremental, and kHierarchical
-// (eager and cohort-coalesced), and the observable outcomes must match
-// bit-for-bit: completion order and instants, every sampled rate's IEEE-754
-// bits, and the full encode_state() image at mid-run cuts. The engines share
-// the progressive-fill arithmetic by construction, so any divergence is a
-// bug in component tracking, the group closure, the arena mirrors, or the
-// cohort-flush placement — exactly the machinery this suite exists to catch.
+// Differential validation of the production rate engine against its oracle.
+// Every scenario is replayed under kFullRecompute and kHierarchical, and the
+// observable outcomes must match bit-for-bit: completion order and instants,
+// every sampled rate's IEEE-754 bits, and the full encode_state() image at
+// mid-run cuts. The engines share the progressive-fill arithmetic by
+// construction, so any divergence is a bug in the group closure or the arena
+// mirrors — exactly the machinery this suite exists to catch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,15 +31,12 @@ using util::SimTime;
 /// One engine configuration under test.
 struct Arm {
   RateEngine engine;
-  bool coalesce;
   const char* name;
 };
 
 constexpr Arm kArms[] = {
-    {RateEngine::kFullRecompute, false, "full"},
-    {RateEngine::kIncremental, false, "incremental"},
-    {RateEngine::kHierarchical, false, "hierarchical"},
-    {RateEngine::kHierarchical, true, "hierarchical+coalesce"},
+    {RateEngine::kFullRecompute, "full"},
+    {RateEngine::kHierarchical, "hierarchical"},
 };
 
 /// (start sequence, completion instant); flow ids recycle, the sequence is
@@ -67,9 +63,7 @@ ChurnResult run_churn(const Arm& arm, std::uint64_t seed,
   const RoutingGraph routing(topo, 4);
 
   sim::Simulation sim(seed);
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = arm.engine,
-                             .coalesce_cohorts = arm.coalesce});
+  Fabric fabric(sim, topo, FabricConfig{.rate_engine = arm.engine});
   util::Xoshiro256 rng(seed);
   const auto hosts = topo.hosts();
   const auto hosts_per_pod = hosts.size() / cfg.k;
@@ -237,173 +231,121 @@ INSTANTIATE_TEST_SUITE_P(
                       ChurnParam{3, 1.0},   // pure cross-pod
                       ChurnParam{99, 0.15}, ChurnParam{99, 0.85}));
 
-TEST(FabricDifferential, CoalescingAbsorbsBurstRecomputes) {
-  // A burst of same-instant arrivals pays one fill under coalescing; the
-  // deferred_recomputes counter proves the batching actually engaged.
+/// Shuffle waves against a steady backdrop on a k=4 fat-tree: 300
+/// long-lived flows, then waves of 25 simultaneous starts 5 ms apart — the
+/// arrival shape a MapReduce shuffle stage produces. Returns the fabric's
+/// behavioral state image halfway between consecutive waves.
+struct WaveRun {
+  std::vector<std::vector<std::uint8_t>> images;
+  std::uint64_t completed = 0;
+};
+
+WaveRun run_shuffle_waves(RateEngine engine) {
   FatTreeConfig cfg;
   cfg.k = 4;
   const Topology topo = make_fat_tree(cfg);
   const RoutingGraph routing(topo, 4);
   const auto hosts = topo.hosts();
+  sim::Simulation sim(17);
+  Fabric fabric(sim, topo, FabricConfig{.rate_engine = engine});
+  util::Xoshiro256 rng(17);
 
-  auto burst = [&](bool coalesce) {
-    sim::Simulation sim(5);
-    Fabric fabric(sim, topo,
-                  FabricConfig{.rate_engine = RateEngine::kHierarchical,
-                               .coalesce_cohorts = coalesce});
-    for (int i = 0; i < 32; ++i) {
-      const NodeId src = hosts[i % hosts.size()];
-      const NodeId dst = hosts[(i + 5) % hosts.size()];
-      FlowSpec spec;
-      spec.src = src;
-      spec.dst = dst;
-      spec.size = Bytes{50'000'000};
-      spec.path = routing.paths(src, dst)[0].links;
-      sim.at(SimTime::from_seconds(0.1),
+  auto random_spec = [&](std::int64_t bytes) {
+    FlowSpec spec;
+    spec.src = hosts[rng.below(hosts.size())];
+    spec.dst = spec.src;
+    while (spec.dst == spec.src) spec.dst = hosts[rng.below(hosts.size())];
+    const auto& paths = routing.paths(spec.src, spec.dst);
+    spec.path = paths[rng.below(paths.size())].links;
+    spec.size = Bytes{bytes};
+    return spec;
+  };
+
+  constexpr int kBackdrop = 300;
+  constexpr int kWaveSize = 25;
+  constexpr int kWaves = 8;
+  for (int i = 0; i < kBackdrop; ++i) {
+    // Outlives every wave, so each fill runs against the full backdrop.
+    fabric.start_flow(random_spec(1'000'000'000'000LL));
+  }
+  for (int w = 1; w <= kWaves; ++w) {
+    for (int i = 0; i < kWaveSize; ++i) {
+      // Wave flows are short enough that many finish before the next wave,
+      // so completions interleave with arrivals.
+      const FlowSpec spec = random_spec(
+          2'000 + static_cast<std::int64_t>(rng.below(60'000)));
+      sim.at(SimTime{w * 5'000'000LL},
              [&fabric, spec] { fabric.start_flow(spec); });
     }
-    sim.run();
-    return fabric.counters();
-  };
-
-  const FabricCounters eager = burst(false);
-  const FabricCounters coalesced = burst(true);
-  EXPECT_GT(coalesced.deferred_recomputes, 0u);
-  EXPECT_GT(coalesced.cohort_flushes, 0u);
-  // 32 same-instant arrivals: eager pays >= 32 fills for the burst alone;
-  // coalesced folds the burst into one flush.
-  EXPECT_LT(coalesced.recomputes + coalesced.cohort_flushes, eager.recomputes);
-}
-
-TEST(FabricDifferential, RuntimeCoalescingToggleLandsOnEagerState) {
-  // The scaling bench ramps every arm coalesced and then switches the
-  // oracle engines to eager mid-run; the toggle must leave the fabric in
-  // exactly the state an always-eager run holds at the same instant.
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  const Topology topo = make_fat_tree(cfg);
-  const RoutingGraph routing(topo, 4);
-  const auto hosts = topo.hosts();
-
-  auto run = [&](bool toggled) {
-    sim::Simulation sim(11);
-    Fabric fabric(sim, topo,
-                  FabricConfig{.rate_engine = RateEngine::kIncremental,
-                               .coalesce_cohorts = toggled});
-    for (int i = 0; i < 12; ++i) {
-      const NodeId src = hosts[i % hosts.size()];
-      const NodeId dst = hosts[(i + 7) % hosts.size()];
-      FlowSpec spec;
-      spec.src = src;
-      spec.dst = dst;
-      spec.size = Bytes{40'000'000 + i * 1'000'000};
-      spec.path = routing.paths(src, dst)[0].links;
-      fabric.start_flow(spec);
-    }
-    if (toggled) fabric.set_cohort_coalescing(false);  // flushes the cohort
-    // Post-toggle churn runs eager on both sides.
-    FlowSpec late;
-    late.src = hosts[2];
-    late.dst = hosts[9];
-    late.size = Bytes{25'000'000};
-    late.path = routing.paths(late.src, late.dst)[0].links;
-    fabric.start_flow(late);
-    sim.run_until(SimTime::from_seconds(0.05));
+  }
+  WaveRun out;
+  for (int w = 1; w <= kWaves; ++w) {
+    sim.run_until(SimTime{w * 5'000'000LL + 2'500'000LL});
     sim::StateEncoder enc;
     fabric.encode_state(enc);
-    return enc.bytes();
-  };
-
-  EXPECT_EQ(run(false), run(true));
+    out.images.push_back(enc.bytes());
+  }
+  out.completed = fabric.flows_completed();
+  return out;
 }
 
-TEST(FabricDifferential, MidCohortReadsFlushDeferredWork) {
-  // Rate reads inside a cohort must observe post-recompute values even
-  // though the boundary flush has not fired yet.
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  const Topology topo = make_fat_tree(cfg);
-  const RoutingGraph routing(topo, 4);
-  const auto hosts = topo.hosts();
-  sim::Simulation sim(5);
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = RateEngine::kHierarchical,
-                             .coalesce_cohorts = true});
-  FlowSpec spec;
-  spec.src = hosts[0];
-  spec.dst = hosts[1];
-  spec.size = Bytes{1'000'000'000};
-  spec.path = routing.paths(spec.src, spec.dst)[0].links;
-  double rate_seen = -1.0;
-  double util_seen = -1.0;
-  sim.at(SimTime::from_seconds(0.1), [&] {
-    const FlowId id = fabric.start_flow(spec);
-    // Same event, before any boundary: accessors must flush.
-    rate_seen = fabric.flow(id).rate.bps();
-    util_seen = fabric.link_utilization(spec.path[0]);
-  });
-  sim.run_until(SimTime::from_seconds(0.2));
-  EXPECT_GT(rate_seen, 0.0);
-  EXPECT_GT(util_seen, 0.0);
+TEST(FabricDifferential, ShuffleWavesStateIdenticalToOracle) {
+  const WaveRun full = run_shuffle_waves(RateEngine::kFullRecompute);
+  const WaveRun hier = run_shuffle_waves(RateEngine::kHierarchical);
+  EXPECT_GT(full.completed, 0u);  // completions interleaved with the waves
+  EXPECT_EQ(full.completed, hier.completed);
+  ASSERT_EQ(full.images.size(), hier.images.size());
+  for (std::size_t w = 0; w < full.images.size(); ++w) {
+    EXPECT_EQ(full.images[w], hier.images[w])
+        << "state image after wave " << w + 1;
+  }
 }
 
 TEST(FabricCheckpoint, HierarchicalScenarioRestoresVerified) {
-  // Scenario-level capture/restore with the hierarchical engine and cohort
-  // coalescing on: the mid-run cut exercises the capture-flushes-first
-  // protocol (a capture between a deferral and its boundary flush must
-  // encode post-flush state identically on both sides).
-  for (const bool coalesce : {false, true}) {
-    exp::ScenarioConfig cfg;
-    cfg.seed = 11;
-    cfg.scheduler = exp::SchedulerKind::kPythia;
-    cfg.background.oversubscription = 10.0;
-    cfg.rate_engine = RateEngine::kHierarchical;
-    cfg.coalesce_cohorts = coalesce;
-    const auto job = workloads::sort_job(Bytes{4'000'000'000LL}, 16);
+  // Scenario-level capture/restore with the hierarchical engine at mid-run
+  // event cursors.
+  exp::ScenarioConfig cfg;
+  cfg.seed = 11;
+  cfg.scheduler = exp::SchedulerKind::kPythia;
+  cfg.background.oversubscription = 10.0;
+  cfg.rate_engine = RateEngine::kHierarchical;
+  const auto job = workloads::sort_job(Bytes{4'000'000'000LL}, 16);
 
-    exp::Scenario probe(cfg);
-    (void)probe.run_job(job);
-    const std::uint64_t events = probe.simulation().queue().events_fired();
-    ASSERT_GT(events, 100u);
+  exp::Scenario probe(cfg);
+  (void)probe.run_job(job);
+  const std::uint64_t events = probe.simulation().queue().events_fired();
+  ASSERT_GT(events, 100u);
 
-    for (const std::uint64_t cut : {events / 3, (2 * events) / 3}) {
-      exp::Scenario golden(cfg);
-      golden.submit_job(job);
-      golden.run_to_event_count(cut);
-      const sim::Snapshot snap =
-          exp::capture_snapshot(golden, job, "hier-cut");
-      exp::RestoreResult restored = exp::restore_snapshot(snap, cfg, job);
-      ASSERT_TRUE(restored.verified)
-          << "coalesce=" << coalesce << " cut " << cut << ": "
-          << restored.divergence;
-      const auto golden_result = golden.finish();
-      const auto restored_result = restored.scenario->finish();
-      EXPECT_EQ(restored_result.completion_time(),
-                golden_result.completion_time());
-    }
+  for (const std::uint64_t cut : {events / 3, (2 * events) / 3}) {
+    exp::Scenario golden(cfg);
+    golden.submit_job(job);
+    golden.run_to_event_count(cut);
+    const sim::Snapshot snap = exp::capture_snapshot(golden, job, "hier-cut");
+    exp::RestoreResult restored = exp::restore_snapshot(snap, cfg, job);
+    ASSERT_TRUE(restored.verified)
+        << "cut " << cut << ": " << restored.divergence;
+    const auto golden_result = golden.finish();
+    const auto restored_result = restored.scenario->finish();
+    EXPECT_EQ(restored_result.completion_time(),
+              golden_result.completion_time());
   }
 }
 
 TEST(FabricCheckpoint, ScenarioSurfaceIdenticalAcrossEngines) {
   // The quickstart scenario shape must complete at the same instant under
-  // all three engines, with and without coalescing.
-  auto run = [](RateEngine engine, bool coalesce) {
+  // the production engine and the oracle.
+  auto run = [](RateEngine engine) {
     exp::ScenarioConfig cfg;
     cfg.seed = 42;
     cfg.scheduler = exp::SchedulerKind::kEcmp;
     cfg.background.oversubscription = 10.0;
     cfg.rate_engine = engine;
-    cfg.coalesce_cohorts = coalesce;
     exp::Scenario scenario(cfg);
     return scenario.run_job(workloads::sort_job(Bytes{2'000'000'000}, 4))
         .completion_time()
         .ns();
   };
-  const std::int64_t base = run(RateEngine::kFullRecompute, false);
-  EXPECT_EQ(base, run(RateEngine::kIncremental, false));
-  EXPECT_EQ(base, run(RateEngine::kHierarchical, false));
-  EXPECT_EQ(base, run(RateEngine::kHierarchical, true));
-  EXPECT_EQ(base, run(RateEngine::kIncremental, true));
+  EXPECT_EQ(run(RateEngine::kFullRecompute), run(RateEngine::kHierarchical));
 }
 
 }  // namespace

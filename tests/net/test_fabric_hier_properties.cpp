@@ -27,7 +27,6 @@ struct Params {
   std::size_t flows;
   double cbr_fraction;
   bool weighted = false;
-  bool coalesce = false;
 };
 
 class HierMaxMinProperty : public ::testing::TestWithParam<Params> {};
@@ -41,8 +40,7 @@ TEST_P(HierMaxMinProperty, AllocationIsMaxMinFair) {
 
   sim::Simulation sim(p.seed);
   Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = RateEngine::kHierarchical,
-                             .coalesce_cohorts = p.coalesce});
+                FabricConfig{.rate_engine = RateEngine::kHierarchical});
   util::Xoshiro256 rng(p.seed);
   const auto hosts = topo.hosts();
 
@@ -111,13 +109,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Params{1, 8, 0.0}, Params{2, 40, 0.0},
                       Params{3, 40, 0.6}, Params{4, 96, 0.0},
                       Params{5, 96, 0.8, true}, Params{6, 64, 0.5, true},
-                      Params{7, 64, 0.0, false, true},
-                      Params{8, 96, 0.5, true, true}),
+                      Params{7, 64, 0.0, false}, Params{8, 96, 0.5, true}),
     [](const auto& info) {
       return "seed" + std::to_string(info.param.seed) + "_flows" +
              std::to_string(info.param.flows) +
-             (info.param.weighted ? "_weighted" : "") +
-             (info.param.coalesce ? "_coalesced" : "");
+             (info.param.weighted ? "_weighted" : "");
     });
 
 /// Accumulates on_bytes_moved per flow and checks the exact-conservation
@@ -145,7 +141,7 @@ class ByteLedger : public FabricObserver {
 
 TEST(HierByteConservation, ObserverTotalsEqualSpecSizeExactly) {
   // Churny mix (uneven sizes, a zero-byte flow, fractional-rate divisions)
-  // under the hierarchical engine with coalescing: every completed flow's
+  // under the hierarchical engine: every completed flow's
   // observer byte total must equal its spec size exactly — integer
   // equality, no tolerance — which proves the settle/report residue
   // carrying survives arena completion handling.
@@ -155,8 +151,7 @@ TEST(HierByteConservation, ObserverTotalsEqualSpecSizeExactly) {
   const RoutingGraph routing(topo, 4);
   sim::Simulation sim(21);
   Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = RateEngine::kHierarchical,
-                             .coalesce_cohorts = true});
+                FabricConfig{.rate_engine = RateEngine::kHierarchical});
   ByteLedger ledger;
   fabric.add_observer(&ledger);
   util::Xoshiro256 rng(21);
@@ -292,7 +287,7 @@ TEST(HierArenaMirrors, GroupClosureTouchesNoMoreThanComponentPlusGroups) {
 
 #ifndef NDEBUG
 TEST(HierStaleSlotDeathTest, RecycledPathRowAborts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   FatTreeConfig cfg;
   cfg.k = 4;
   const Topology topo = make_fat_tree(cfg);

@@ -1,9 +1,10 @@
-// Differential validation of the incremental rate engine: every scenario is
-// replayed on two fabrics — RateEngine::kIncremental vs kFullRecompute — and
-// the observable outcomes (flow completion instants, sampled rates, delivered
-// bytes) must match bit-for-bit. Both engines share the progressive-fill
-// arithmetic and canonical orderings, so any divergence is a bug in the
-// dirty-set component tracking.
+// Differential validation of the component-refill rate engine on leaf-spine
+// fabrics: every scenario is replayed on two fabrics — RateEngine::
+// kHierarchical vs the kFullRecompute oracle — and the observable outcomes
+// (flow completion instants, sampled rates, delivered bytes) must match
+// bit-for-bit. Both engines share the progressive-fill arithmetic and
+// canonical orderings, so any divergence is a bug in the dirty-set
+// component tracking.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -131,13 +132,13 @@ class IncrementalDifferential
 
 TEST_P(IncrementalDifferential, ChurnCompletionsBitIdentical) {
   const std::uint64_t seed = GetParam();
-  const CompletionLog incremental = run_churn(RateEngine::kIncremental, seed);
+  const CompletionLog hier = run_churn(RateEngine::kHierarchical, seed);
   const CompletionLog full = run_churn(RateEngine::kFullRecompute, seed);
-  ASSERT_EQ(incremental.size(), full.size());
-  for (std::size_t i = 0; i < incremental.size(); ++i) {
-    EXPECT_EQ(incremental[i].first, full[i].first) << "completion order @" << i;
-    EXPECT_EQ(incremental[i].second, full[i].second)
-        << "completion time of flow " << incremental[i].first;
+  ASSERT_EQ(hier.size(), full.size());
+  for (std::size_t i = 0; i < hier.size(); ++i) {
+    EXPECT_EQ(hier[i].first, full[i].first) << "completion order @" << i;
+    EXPECT_EQ(hier[i].second, full[i].second)
+        << "completion time of flow " << hier[i].first;
   }
 }
 
@@ -175,17 +176,17 @@ TEST(IncrementalDifferential, RatesBitIdenticalUnderSnapshots) {
       sim.run_until(SimTime::from_seconds(at_s));
     };
     sim::Simulation sim_a;
-    Fabric inc(sim_a, topo, FabricConfig{RateEngine::kIncremental});
-    build(sim_a, inc);
+    Fabric hier(sim_a, topo, FabricConfig{RateEngine::kHierarchical});
+    build(sim_a, hier);
     sim::Simulation sim_b;
     Fabric full(sim_b, topo, FabricConfig{RateEngine::kFullRecompute});
     build(sim_b, full);
 
-    const auto active_a = inc.active_flows();
+    const auto active_a = hier.active_flows();
     const auto active_b = full.active_flows();
     ASSERT_EQ(active_a.size(), active_b.size());
     for (std::size_t i = 0; i < active_a.size(); ++i) {
-      const auto& fa = inc.flow(active_a[i]);
+      const auto& fa = hier.flow(active_a[i]);
       const auto& fb = full.flow(active_b[i]);
       EXPECT_TRUE(fa.rate == fb.rate)  // bitwise, not approximate
           << "flow " << i << " at t=" << at_s << ": " << fa.rate.bps()
@@ -209,19 +210,20 @@ TEST(IncrementalDifferential, QuickstartSurfaceIdentical) {
         scenario.run_job(workloads::sort_job(Bytes{2'000'000'000}, 4));
     return result.completion_time().ns();
   };
-  EXPECT_EQ(run(RateEngine::kIncremental), run(RateEngine::kFullRecompute));
+  EXPECT_EQ(run(RateEngine::kHierarchical), run(RateEngine::kFullRecompute));
 }
 
 TEST(IncrementalCounters, DisjointComponentsStayUntouched) {
   // Two flows in different racks share no link; starting the second must not
-  // revisit the first one's links.
+  // revisit the first one's links. The refill closes over whole locality
+  // groups, so it touches exactly rack 1's group links.
   LeafSpineConfig cfg;
   cfg.racks = 2;
   cfg.servers_per_rack = 4;
   cfg.spines = 2;
   const Topology topo = make_leaf_spine(cfg);
   sim::Simulation sim;
-  Fabric fabric(sim, topo, FabricConfig{RateEngine::kIncremental});
+  Fabric fabric(sim, topo, FabricConfig{RateEngine::kHierarchical});
   const auto hosts = topo.hosts();
 
   auto intra_rack = [&](NodeId a, NodeId b) {
@@ -245,9 +247,18 @@ TEST(IncrementalCounters, DisjointComponentsStayUntouched) {
   fabric.start_flow(f2);
   const auto after_second = fabric.counters();
 
-  // The second start dirtied exactly its own two links, and the component
-  // closure contains exactly one flow.
-  EXPECT_EQ(after_second.links_touched - after_first.links_touched, 2u);
+  // The closure is a union of whole groups, so a link count equal to rack
+  // 1's group size means it is exactly rack 1's group: no rack-0 link (and
+  // no core link) was revisited, and only the new flow was refilled.
+  const std::int32_t rack1 = topo.node_group(hosts[4]);
+  ASSERT_NE(rack1, topo.node_group(hosts[0]));
+  std::uint64_t rack1_links = 0;
+  for (const auto& link : topo.links()) {
+    if (topo.link_group(link.id) == rack1) ++rack1_links;
+  }
+  ASSERT_GT(rack1_links, 2u);  // host<->leaf links of four servers
+  EXPECT_EQ(after_second.links_touched - after_first.links_touched,
+            rack1_links);
   EXPECT_EQ(after_second.flows_touched - after_first.flows_touched, 1u);
   EXPECT_EQ(after_second.full_fills, after_first.full_fills);
 }

@@ -287,7 +287,7 @@ TEST(PathPoolGeneration, ClearBumpsGeneration) {
 
 #ifndef NDEBUG
 TEST(PathPoolGenerationDeathTest, StaleIdAssertsAfterTopologySwitch) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Topology before = make_two_rack({});
   TwoRackConfig bigger;
   bigger.servers_per_rack = 6;

@@ -2,7 +2,7 @@
 // simulation arms that are supposed to be behaviorally identical.
 //
 // The determinism contract (docs/determinism.md) promises that certain arm
-// pairs — most importantly the incremental vs. full-recompute fabric rate
+// pairs — most importantly the hierarchical vs. full-recompute fabric rate
 // engines — produce bit-identical behavior. When that promise breaks, the
 // symptom (a diverged golden trace or final metric) is far downstream of the
 // cause. This tool localizes the break to the exact first event:
@@ -51,7 +51,7 @@ struct Options {
   double oversub = 10.0;
   long long input_mb = 2000;
   std::size_t reducers = 4;
-  std::string arm_a_engine = "incremental";
+  std::string arm_a_engine = "hierarchical";
   std::string arm_b_engine = "full";
   std::string arm_b_scheduler;  // empty = same as arm A (pythia)
   std::uint64_t arm_b_seed = 0;  // 0 = same as arm A
@@ -59,9 +59,9 @@ struct Options {
 };
 
 pythia::net::RateEngine parse_engine(const std::string& name) {
-  if (name == "incremental") return pythia::net::RateEngine::kIncremental;
+  if (name == "hierarchical") return pythia::net::RateEngine::kHierarchical;
   if (name == "full") return pythia::net::RateEngine::kFullRecompute;
-  std::fprintf(stderr, "unknown rate engine '%s' (incremental|full)\n",
+  std::fprintf(stderr, "unknown rate engine '%s' (hierarchical|full)\n",
                name.c_str());
   std::exit(1);
 }
@@ -227,7 +227,7 @@ int run_smoke() {
       pythia::workloads::sort_job(pythia::util::Bytes{200LL * 1000 * 1000}, 2);
 
   std::printf("--- smoke 1: contracted-identical engines must agree ---\n");
-  Arm a{"engine=incremental scheduler=pythia seed=1", base_config(1, 10.0)};
+  Arm a{"engine=hierarchical scheduler=pythia seed=1", base_config(1, 10.0)};
   Arm b{"engine=full scheduler=pythia seed=1", base_config(1, 10.0)};
   b.cfg.rate_engine = pythia::net::RateEngine::kFullRecompute;
   const bool engines_agree = compare_arms(a, b, job);
@@ -237,8 +237,9 @@ int run_smoke() {
   }
 
   std::printf("--- smoke 2: bisection must localize a real divergence ---\n");
-  Arm c{"engine=incremental scheduler=pythia seed=1", base_config(1, 10.0)};
-  Arm d{"engine=incremental scheduler=flowcomb seed=1", base_config(1, 10.0)};
+  Arm c{"engine=hierarchical scheduler=pythia seed=1", base_config(1, 10.0)};
+  Arm d{"engine=hierarchical scheduler=flowcomb seed=1",
+        base_config(1, 10.0)};
   d.cfg.scheduler = SchedulerKind::kFlowCombLike;
   const bool perturbed_agree = compare_arms(c, d, job);
   if (perturbed_agree) {
@@ -258,7 +259,7 @@ void usage() {
       "  --oversub R         background oversubscription ratio (default 10)\n"
       "  --input-mb M        sort job input size in MB (default 2000)\n"
       "  --reducers K        sort job reducer count (default 4)\n"
-      "  --arm-a-engine E    rate engine for arm A: incremental|full\n"
+      "  --arm-a-engine E    rate engine for arm A: hierarchical|full\n"
       "  --arm-b-engine E    rate engine for arm B (default full)\n"
       "  --arm-b-scheduler S perturb arm B's scheduler "
       "(ecmp|pythia|hedera|flowcomb)\n"
