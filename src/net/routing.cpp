@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "sim/snapshot.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pythia::net {
 
@@ -21,9 +20,6 @@ struct QueueEntry {
     return a.node.value() > b.node.value();
   }
 };
-
-constexpr std::uint32_t kUnreachable =
-    std::numeric_limits<std::uint32_t>::max();
 
 /// FNV-1a over a link-id sequence; collisions are resolved by full sequence
 /// equality wherever this is used.
@@ -41,16 +37,6 @@ struct LinkSeqHash {
     return static_cast<std::size_t>(link_seq_hash(links));
   }
 };
-
-/// Mints a PathId, stamping the pool generation in debug builds so stale
-/// resolution after PathPool::clear() aborts instead of reading garbage.
-PathId make_path_id(std::uint32_t idx, [[maybe_unused]] std::uint32_t gen) {
-  PathId id{idx};
-#ifndef NDEBUG
-  id.debug_set_generation(gen);
-#endif
-  return id;
-}
 
 }  // namespace
 
@@ -106,16 +92,11 @@ std::optional<Path> shortest_path(
 
 std::vector<Path> k_shortest_paths(
     const Topology& topo, NodeId src, NodeId dst, std::size_t k,
-    const std::unordered_set<LinkId>& banned_links,
-    std::vector<LinkId>* touched_links) {
+    const std::unordered_set<LinkId>& banned_links) {
   std::vector<Path> result;
   if (k == 0) return result;
   auto first = shortest_path(topo, src, dst, banned_links);
   if (!first) return result;
-  if (touched_links != nullptr) {
-    touched_links->insert(touched_links->end(), first->links.begin(),
-                          first->links.end());
-  }
   result.push_back(std::move(*first));
 
   // Candidate pool ordered by (hops, link-id sequence) for determinism.
@@ -171,10 +152,6 @@ std::vector<Path> k_shortest_paths(
       total.links.insert(total.links.end(), spur->links.begin(),
                          spur->links.end());
       if (!seen.insert(total.links).second) continue;
-      if (touched_links != nullptr) {
-        touched_links->insert(touched_links->end(), total.links.begin(),
-                              total.links.end());
-      }
       candidates.push_back(std::move(total));
     }
     if (candidates.empty()) break;
@@ -190,18 +167,12 @@ PathId PathPool::intern(Path path) {
   const std::uint64_t h = link_seq_hash(path.links);
   auto& bucket = index_[h];
   for (std::uint32_t id : bucket) {
-    if (paths_[id].links == path.links) return make_path_id(id, generation_);
+    if (paths_[id].links == path.links) return PathId{id};
   }
   const auto id = static_cast<std::uint32_t>(paths_.size());
   paths_.push_back(std::move(path));
   bucket.push_back(id);
-  return make_path_id(id, generation_);
-}
-
-void PathPool::clear() {
-  paths_.clear();
-  index_.clear();
-  ++generation_;
+  return PathId{id};
 }
 
 std::vector<Path> PathSet::materialize() const {
@@ -211,309 +182,51 @@ std::vector<Path> PathSet::materialize() const {
   return out;
 }
 
-RoutingGraph::RoutingGraph(const Topology& topo, std::size_t k,
-                           BuildMode build, util::ThreadPool* pool)
-    : k_(k), build_(build) {
-  if (build_ == BuildMode::kEager && pool != nullptr) {
-    // Parallel cold build: index, then fan the per-pair Yen runs across the
-    // pool. materialize_all interns in canonical slot order on this thread,
-    // so the result — including every PathId value — matches a serial build.
-    topo_ = &topo;
-    index_topology(topo);
-    ++counters_.full_rebuilds;
-    materialize_all(pool);
-  } else {
-    rebuild(topo, {}, RebuildMode::kFull);
-  }
-}
-
-void RoutingGraph::rebuild(const Topology& topo,
-                           const std::unordered_set<LinkId>& banned_links,
-                           RebuildMode mode) {
-  const bool same_topology = topo_ == &topo &&
-                             node_count_ == topo.node_count() &&
-                             link_count_ == topo.link_count();
-  if (same_topology && banned_links == banned_) {
-    // No-op delta: same topology, same banned set — in any mode the table
-    // could not change. Return before copying the banned set or bumping
-    // rebuild counters; only the no-op count moves (pinned by unit test).
-    ++counters_.noop_rebuilds;
-    return;
-  }
-  if (!same_topology) {
-    // A different (or resized) topology invalidates every interned id.
-    if (topo_ != nullptr) pool_.clear();
-    topo_ = &topo;
-    index_topology(topo);
-  }
-  if (same_topology && mode == RebuildMode::kIncremental) {
-    rebuild_incremental(banned_links);
-  } else {
-    rebuild_full(banned_links);
-  }
-  banned_ = banned_links;
-}
-
-void RoutingGraph::index_topology(const Topology& topo) {
-  node_count_ = topo.node_count();
-  link_count_ = topo.link_count();
-  hosts_ = topo.hosts();
-  host_slot_.assign(node_count_, kNotHost);
+RoutingGraph::RoutingGraph(const Topology& topo, std::size_t k, BuildMode)
+    : topo_(&topo), k_(k), hosts_(topo.hosts()) {
+  host_slot_.assign(topo.node_count(), kNotHost);
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     host_slot_[hosts_[i].value()] = static_cast<std::uint32_t>(i);
   }
   table_.assign(hosts_.size() * hosts_.size(), {});
-  pair_links_.assign(table_.size(), {});
-  link_pairs_.assign(link_count_, {});
   materialized_.assign(table_.size(), 0);
-  materialized_count_ = 0;
-  in_links_.assign(node_count_, {});
-  for (const Link& l : topo.links()) {
-    in_links_[l.dst.value()].push_back(l.id);
-  }
+  clear_table();
 }
 
-void RoutingGraph::rebuild_full(const std::unordered_set<LinkId>& banned) {
-  ++counters_.full_rebuilds;
-  for (auto& slots : link_pairs_) slots.clear();
-  for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-    table_[slot].clear();
-    pair_links_[slot].clear();
-    materialized_[slot] = 0;
-  }
-  materialized_count_ = 0;
-  if (build_ == BuildMode::kLazy) return;  // pairs recompute on first query
-  for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-    if (diagonal(slot)) continue;  // src == dst
-    recompute_pair(slot, banned);
-  }
-}
-
-// Incremental rebuild recomputes only pairs the banned-set delta can affect;
-// every other pair's cached k-best set is *exactly* what a full rebuild
-// would produce (the differential tests exercise this):
-//
-//  - Newly banned link m: a pair can only change if m was touched by its
-//    last Yen run (any generated candidate, chosen or not). If no spur
-//    Dijkstra result used m, every Dijkstra in the rerun returns the same
-//    path (removing an edge unused by the returned path cannot change the
-//    deterministic parent selection along it — dists and relative pop order
-//    of the nodes on the path are preserved), so the whole run replays
-//    byte-identically.
-//  - Restored link l = (u → v): any candidate the rerun generates that did
-//    not exist before implies an s ⇝ u → v ⇝ t walk of the same hop count,
-//    so its length is ≥ lb = dist(s, u) + 1 + dist(v, t) on the new graph.
-//    If the pair already has k candidates and lb exceeds the k-th's hops,
-//    no new or changed candidate can displace a chosen one and the result
-//    set is unchanged. (Unchosen long candidates may differ; they are also
-//    irrelevant to future deltas for the same hop-bound reason.)
-void RoutingGraph::rebuild_incremental(
-    const std::unordered_set<LinkId>& banned) {
-  ++counters_.incremental_rebuilds;
-  std::vector<LinkId> added;    // newly failed links
-  std::vector<LinkId> removed;  // restored links
-  // pythia-lint: allow(unordered-iter) set difference; `added` is sorted
-  // below before it drives any rebuild decision
-  for (LinkId l : banned) {
-    if (!banned_.contains(l)) added.push_back(l);
-  }
-  // pythia-lint: allow(unordered-iter) set difference; `removed` is sorted
-  // below before it drives any rebuild decision
-  for (LinkId l : banned_) {
-    if (!banned.contains(l)) removed.push_back(l);
-  }
-  const std::size_t H = hosts_.size();
-  const std::size_t total_pairs = H < 2 ? 0 : H * (H - 1);
-  // An empty delta cannot reach here: rebuild() early-returns when the
-  // banned set is unchanged, and set equality is exactly "no delta".
-  assert(!(added.empty() && removed.empty()));
-  std::sort(added.begin(), added.end());
-  std::sort(removed.begin(), removed.end());
-
-  std::vector<char> affected(table_.size(), 0);
-  for (LinkId l : added) {
-    for (std::uint32_t slot : link_pairs_[l.value()]) affected[slot] = 1;
-  }
-
-  if (!removed.empty()) {
-    std::vector<std::uint32_t> dist_to_u;
-    std::vector<std::uint32_t> dist_from_v;
-    for (LinkId l : removed) {
-      const Link& link = topo_->link(l);
-      bfs_hops(link.src, /*reverse=*/true, banned, dist_to_u);
-      bfs_hops(link.dst, /*reverse=*/false, banned, dist_from_v);
-      for (std::size_t ai = 0; ai < H; ++ai) {
-        const std::uint32_t du = dist_to_u[hosts_[ai].value()];
-        if (du == kUnreachable) continue;
-        for (std::size_t bi = 0; bi < H; ++bi) {
-          if (bi == ai) continue;
-          const std::size_t slot = pair_slot(
-              static_cast<std::uint32_t>(ai), static_cast<std::uint32_t>(bi));
-          if (affected[slot] != 0) continue;
-          // Lazy: a pair with no current candidates has nothing a restored
-          // link could stale-ify; it recomputes on next query anyway.
-          if (build_ == BuildMode::kLazy && materialized_[slot] == 0) {
-            continue;
-          }
-          const std::uint32_t dv = dist_from_v[hosts_[bi].value()];
-          if (dv == kUnreachable) continue;
-          const auto& ids = table_[slot];
-          if (ids.size() < k_) {
-            // Starved or partitioned pair: the restored link may add paths.
-            affected[slot] = 1;
-            continue;
-          }
-          const std::size_t lb =
-              static_cast<std::size_t>(du) + 1 + static_cast<std::size_t>(dv);
-          if (lb <= pool_.path(ids.back()).hops()) affected[slot] = 1;
-        }
-      }
-    }
-  }
-
-  if (build_ == BuildMode::kLazy) {
-    // Affected pairs are dropped, not recomputed — the next query (if any
-    // ever comes) recomputes under the then-current banned set. Surviving
-    // materialized pairs are the reuse win.
-    for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-      if (affected[slot] != 0) invalidate_pair(slot);
-    }
-    counters_.pairs_reused += materialized_count_;
+void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
+  if (banned_links == banned_) {
+    // Same banned set: the table could not change. Return before copying
+    // the set or bumping rebuild counters; only the no-op count moves
+    // (pinned by unit test).
+    ++counters_.noop_rebuilds;
     return;
   }
-
-  std::size_t recomputed = 0;
-  for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-    if (affected[slot] == 0) continue;
-    recompute_pair(slot, banned);
-    ++recomputed;
-  }
-  counters_.pairs_reused += total_pairs - recomputed;
+  clear_table();
+  banned_ = banned_links;
 }
 
-void RoutingGraph::compute_pair(std::size_t slot,
-                                const std::unordered_set<LinkId>& banned,
-                                PairScratch& out) const {
-  const std::size_t H = hosts_.size();
-  const NodeId a = hosts_[slot / H];
-  const NodeId b = hosts_[slot % H];
-  out.found = k_shortest_paths(*topo_, a, b, k_, banned, &out.touched);
-  std::sort(out.touched.begin(), out.touched.end());
-  out.touched.erase(std::unique(out.touched.begin(), out.touched.end()),
-                    out.touched.end());
-}
-
-void RoutingGraph::commit_pair(std::size_t slot, PairScratch&& scratch) const {
-  std::vector<PathId> ids;
-  ids.reserve(scratch.found.size());
-  for (Path& p : scratch.found) ids.push_back(pool_.intern(std::move(p)));
-  set_pair(slot, std::move(ids), std::move(scratch.touched));
-  if (materialized_[slot] == 0) {
-    materialized_[slot] = 1;
-    ++materialized_count_;
-  }
-  ++counters_.pairs_recomputed;
-}
-
-void RoutingGraph::recompute_pair(
-    std::size_t slot, const std::unordered_set<LinkId>& banned) const {
-  PairScratch scratch;
-  compute_pair(slot, banned, scratch);
-  commit_pair(slot, std::move(scratch));
-}
-
-void RoutingGraph::invalidate_pair(std::size_t slot) {
-  if (materialized_[slot] == 0) return;
-  // The candidate list goes; the stored touched union stays as the diff
-  // witness set_pair needs when the pair is eventually recomputed (and as a
-  // conservative reverse-index entry for future added-link scans).
-  table_[slot].clear();
-  materialized_[slot] = 0;
-  --materialized_count_;
-  ++counters_.pairs_invalidated;
+void RoutingGraph::clear_table() {
+  ++counters_.full_rebuilds;
+  counters_.pairs_invalidated += materialized_count_;
+  // Clearing in place keeps each inner vector object (and therefore any
+  // outstanding PathSet view of a pair) valid.
+  for (auto& ids : table_) ids.clear();
+  std::fill(materialized_.begin(), materialized_.end(), 0);
+  materialized_count_ = 0;
 }
 
 void RoutingGraph::ensure_pair(std::size_t slot) const {
   if (materialized_[slot] != 0 || diagonal(slot)) return;
-  recompute_pair(slot, banned_);
+  const std::size_t H = hosts_.size();
+  std::vector<Path> found =
+      k_shortest_paths(*topo_, hosts_[slot / H], hosts_[slot % H], k_, banned_);
+  auto& ids = table_[slot];
+  ids.reserve(found.size());
+  for (Path& p : found) ids.push_back(pool_.intern(std::move(p)));
+  materialized_[slot] = 1;
+  ++materialized_count_;
+  ++counters_.pairs_recomputed;
   ++counters_.lazy_materializations;
-}
-
-void RoutingGraph::set_pair(std::size_t slot, std::vector<PathId> ids,
-                            std::vector<LinkId> touched) const {
-  const std::vector<LinkId>& old_links = pair_links_[slot];
-  const auto slot32 = static_cast<std::uint32_t>(slot);
-  for (LinkId l : old_links) {
-    if (!std::binary_search(touched.begin(), touched.end(), l)) {
-      std::erase(link_pairs_[l.value()], slot32);
-    }
-  }
-  for (LinkId l : touched) {
-    if (!std::binary_search(old_links.begin(), old_links.end(), l)) {
-      link_pairs_[l.value()].push_back(slot32);
-    }
-  }
-  // Assigning in place keeps the inner vector object (and therefore any
-  // outstanding PathSet view of this pair) valid.
-  table_[slot] = std::move(ids);
-  pair_links_[slot] = std::move(touched);
-}
-
-void RoutingGraph::bfs_hops(NodeId origin, bool reverse,
-                            const std::unordered_set<LinkId>& banned,
-                            std::vector<std::uint32_t>& dist) const {
-  dist.assign(node_count_, kUnreachable);
-  std::vector<NodeId> queue;
-  queue.reserve(node_count_);
-  queue.push_back(origin);
-  dist[origin.value()] = 0;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId u = queue[head];
-    const std::uint32_t d = dist[u.value()];
-    const auto& links = reverse ? in_links_[u.value()] : topo_->out_links(u);
-    for (LinkId l : links) {
-      if (banned.contains(l)) continue;
-      const Link& link = topo_->link(l);
-      const NodeId next = reverse ? link.src : link.dst;
-      if (dist[next.value()] != kUnreachable) continue;
-      dist[next.value()] = d + 1;
-      queue.push_back(next);
-    }
-  }
-}
-
-void RoutingGraph::materialize_all(util::ThreadPool* pool) {
-  std::vector<std::uint32_t> todo;  // unmaterialized slots, canonical order
-  for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-    if (materialized_[slot] == 0 && !diagonal(slot)) {
-      todo.push_back(static_cast<std::uint32_t>(slot));
-    }
-  }
-  if (todo.empty()) return;
-  if (pool == nullptr || pool->thread_count() <= 1) {
-    for (std::uint32_t slot : todo) recompute_pair(slot, banned_);
-    return;
-  }
-  // Fan the pure per-pair Yen runs across the pool into private scratch.
-  // Workers only read shared state (topology, banned set — both frozen for
-  // the duration); all interning happens after wait_idle() on this thread,
-  // walking `todo` in ascending slot order, so the PathId sequence is
-  // byte-identical to computing the same slots serially.
-  std::vector<PairScratch> scratch(todo.size());
-  const std::size_t chunk =
-      std::max<std::size_t>(1, todo.size() / (pool->thread_count() * 8));
-  for (std::size_t begin = 0; begin < todo.size(); begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, todo.size());
-    pool->submit([this, &todo, &scratch, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) {
-        compute_pair(todo[i], banned_, scratch[i]);
-      }
-    });
-  }
-  pool->wait_idle();  // happens-before: workers' scratch writes visible here
-  for (std::size_t i = 0; i < todo.size(); ++i) {
-    commit_pair(todo[i], std::move(scratch[i]));
-  }
 }
 
 PathSet RoutingGraph::paths(NodeId src_host, NodeId dst_host) const {
@@ -543,15 +256,11 @@ bool RoutingGraph::has_paths(NodeId src_host, NodeId dst_host) const {
   return !table_[slot].empty();
 }
 
-std::size_t RoutingGraph::pairs_using(LinkId l) const {
-  assert(l.valid() && l.value() < link_pairs_.size());
-  return link_pairs_[l.value()].size();
-}
-
 void RoutingGraph::encode_counters(sim::StateEncoder& enc) const {
-  // Rebuild-strategy observability: kIncremental/kFull and kLazy/kEager
-  // produce identical tables but different work splits, so these live in
-  // their own snapshot section the cross-arm bisection skips.
+  // Routing-work observability: the counts depend on query timing, not on
+  // table content, so they live in their own snapshot section the cross-arm
+  // bisection skips. incremental_rebuilds and pairs_reused are retired
+  // (always 0) but keep their slots in the layout.
   enc.put_u64(counters_.full_rebuilds);
   enc.put_u64(counters_.incremental_rebuilds);
   enc.put_u64(counters_.pairs_recomputed);
@@ -567,7 +276,7 @@ void RoutingGraph::encode_state(sim::StateEncoder& enc) const {
   enc.put_u64(static_cast<std::uint64_t>(k_));
 
   // Per-pair candidate link chains in canonical slot order — not raw pool
-  // ids. Interning order tracks query order in lazy mode, so pool ids would
+  // ids. Interning order tracks query order, so pool ids would
   // make two behaviorally identical runs encode different bytes; the chains
   // themselves are a pure function of (topology, banned set, k).
   // Unmaterialized pairs are computed right here for the same reason: the

@@ -1,23 +1,17 @@
 // Multi-path routing: hop-count Dijkstra, Yen's k-shortest paths, and the
-// RoutingGraph cache the controller keeps per host pair (paper §IV: computed
-// at startup, recomputed only on topology-change events — off the data path).
+// RoutingGraph cache the controller keeps per host pair (paper §IV: paths
+// are recomputed only on topology-change events — off the data path).
 //
 // Paths are interned in a PathPool: the graph stores PathId handles instead
-// of link-vector copies, a reverse index LinkId → {host pairs using it} lets
-// rebuild() recompute only the pairs a failed/restored link can affect, and
-// the control plane (controller/allocator) passes ids on the per-flow hot
-// path instead of copying/comparing link vectors.
+// of link-vector copies, and the control plane (controller/allocator) passes
+// ids on the per-flow hot path instead of copying/comparing link vectors.
 //
-// Construction comes in two flavors (BuildMode), both provably identical to
-// the classic eager build because a pair's Yen candidate set is a pure
-// function of (topology, banned set, k) — query order cannot change results:
-//  - kEager: every pair computed up front (optionally fanned across a
-//    util::ThreadPool via materialize_all, which interns results in
-//    canonical slot order so PathId assignment matches a serial build).
-//  - kLazy: pairs computed on first paths()/has_paths() query; rebuild()
-//    merely *invalidates* affected materialized pairs instead of recomputing
-//    them. At warehouse scale most host pairs never carry a shuffle flow, so
-//    this removes the cold-build wall entirely.
+// The table is filled lazily: a pair's candidates are computed on its first
+// paths()/has_paths() query. A pair's Yen result is a pure function of
+// (topology, banned set, k), so query order cannot change what is stored,
+// and a banned-set change simply drops every materialized pair — the next
+// query recomputes it under the new set. At warehouse scale most host pairs
+// never carry a shuffle flow, so there is no cold build up front.
 #pragma once
 
 #include <cassert>
@@ -36,10 +30,6 @@
 
 namespace pythia::sim {
 class StateEncoder;
-}
-
-namespace pythia::util {
-class ThreadPool;
 }
 
 namespace pythia::net {
@@ -62,53 +52,30 @@ std::optional<Path> shortest_path(
 
 /// Yen's algorithm: up to `k` loop-free shortest paths in nondecreasing
 /// hop-count order (deterministic ordering among equal-length paths).
-/// `banned_links` are excluded entirely (failed links). When
-/// `touched_links` is non-null, every link of every candidate path the run
-/// generated (chosen or not) is appended to it — the routing graph's
-/// incremental rebuild keys its reverse index on this union, because a
-/// banned link that appears only in an *unchosen* candidate can still flip
-/// the deterministic tie-break of a later spur computation.
+/// `banned_links` are excluded entirely (failed links).
 std::vector<Path> k_shortest_paths(
     const Topology& topo, NodeId src, NodeId dst, std::size_t k,
-    const std::unordered_set<LinkId>& banned_links = {},
-    std::vector<LinkId>* touched_links = nullptr);
+    const std::unordered_set<LinkId>& banned_links = {});
 
 /// Append-only intern table for paths. Interning the same link sequence
 /// twice yields the same PathId, and `path(id)` references are stable for
 /// the lifetime of the pool (deque storage never relocates elements), so the
-/// control plane can hold `const Path*` across rebuilds on one topology.
+/// control plane can hold `const Path*` across rebuilds.
 class PathPool {
  public:
   PathId intern(Path path);
 
   [[nodiscard]] const Path& path(PathId id) const {
     assert(id.valid() && id.value() < paths_.size());
-#ifndef NDEBUG
-    // A stale id outlived a clear() (topology switch): resolving it would
-    // silently return some other topology's path. Debug builds abort here;
-    // release keeps the historical unchecked-index behavior.
-    assert(id.debug_generation() == generation_ &&
-           "stale PathId resolved after PathPool::clear (topology switch)");
-#endif
     return paths_[id.value()];
   }
   [[nodiscard]] std::size_t size() const { return paths_.size(); }
-
-  /// Drops every interned path; outstanding ids become invalid (and debug
-  /// builds assert if one is later resolved — see generation()). Only called
-  /// when the routing graph switches to a different topology.
-  void clear();
-
-  /// Bumped by every clear(); ids minted before the bump are stale. Debug
-  /// builds stamp the generation into each returned PathId.
-  [[nodiscard]] std::uint32_t generation() const { return generation_; }
 
  private:
   std::deque<Path> paths_;
   // Hash of the link sequence → pool ids with that hash (collisions resolved
   // by full sequence equality in intern()).
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
-  std::uint32_t generation_ = 0;
 };
 
 /// Non-owning view of one host pair's candidate paths: an id vector in the
@@ -129,7 +96,6 @@ class PathSet {
   }
   [[nodiscard]] PathId id(std::size_t i) const { return (*ids_)[i]; }
   [[nodiscard]] const std::vector<PathId>& ids() const { return *ids_; }
-  [[nodiscard]] const PathPool& pool() const { return *pool_; }
 
   /// Deep copy of the current candidates; survives later rebuilds that
   /// shrink or reorder the live set.
@@ -172,92 +138,66 @@ class PathSet {
   const PathPool* pool_;
 };
 
-/// How rebuild() reacts to a banned-set change on an unchanged topology.
-enum class RebuildMode : std::uint8_t {
-  /// Recompute only host pairs a newly banned/restored link can affect
-  /// (reverse index + BFS hop bound); the default and byte-identical to
-  /// kFull — proven by the differential tests.
-  kIncremental,
-  /// Legacy behavior: re-run Yen for every host pair. Kept as the baseline
-  /// the differential tests and the routing_scaling bench compare against.
-  kFull,
-};
+/// Kept as a one-value enum so callers that name the build mode still
+/// compile; every RoutingGraph computes pairs on first query.
+enum class BuildMode : std::uint8_t { kLazy };
 
-/// When a RoutingGraph computes each host pair's candidates.
-enum class BuildMode : std::uint8_t {
-  /// Classic behavior: every pair Yen-computed at construction / rebuild.
-  kEager,
-  /// Pairs computed on first query; rebuild() invalidates affected
-  /// materialized pairs instead of recomputing them. Identical observable
-  /// results (per-pair Yen is pure in topology + banned set), proven by the
-  /// differential tests in tests/net/test_routing_lazy.cpp.
-  kLazy,
-};
-
-/// Observability for rebuild work (the routing_scaling bench reports the
-/// recomputed/reused split per failure event).
+/// Observability for routing work. The field set is the routing.counters
+/// snapshot layout, so retired fields stay (always 0) rather than go.
 struct RoutingCounters {
+  /// Table (re)builds: the construction plus every rebuild() that changed
+  /// the banned set. Each drops every materialized pair.
   std::uint64_t full_rebuilds = 0;
+  /// Retired: always 0 (there is no incremental rebuild).
   std::uint64_t incremental_rebuilds = 0;
+  /// Per-pair Yen runs.
   std::uint64_t pairs_recomputed = 0;
+  /// Retired: always 0 (no materialized pair survives a rebuild).
   std::uint64_t pairs_reused = 0;
-  /// rebuild() calls that were no-op deltas (same topology, same banned set)
-  /// and returned without touching any state.
+  /// rebuild() calls with an unchanged banned set; they return without
+  /// touching any state.
   std::uint64_t noop_rebuilds = 0;
-  /// Lazy mode: materialized pairs dropped by a rebuild delta (recomputed
-  /// only if queried again).
+  /// Materialized pairs dropped by rebuilds (recomputed only if queried
+  /// again).
   std::uint64_t pairs_invalidated = 0;
-  /// Lazy mode: pairs computed on first query (subset of pairs_recomputed).
+  /// Pairs computed on first query (equals pairs_recomputed).
   std::uint64_t lazy_materializations = 0;
 };
 
-/// Precomputed k-shortest paths for every host pair. The SDN topology
-/// service rebuilds it when the physical topology changes (link failure);
-/// incremental mode touches only affected pairs.
+/// k-shortest paths for every ordered host pair of one fixed topology,
+/// computed on first query. The SDN topology service rebuilds it when links
+/// fail or come back.
 class RoutingGraph {
  public:
-  /// kEager computes every pair up front (pass `pool` to fan the per-pair
-  /// Yen runs across worker threads; interning stays on this thread in
-  /// canonical slot order, so the result — including PathId values — is
-  /// byte-identical to a serial build). kLazy defers each pair to its first
-  /// query and ignores `pool`.
+  /// Indexes the hosts of `topo` (which must outlive the graph and never
+  /// change); no pair is computed until it is queried. The BuildMode
+  /// argument names the only mode there is.
   explicit RoutingGraph(const Topology& topo, std::size_t k,
-                        BuildMode build = BuildMode::kEager,
-                        util::ThreadPool* pool = nullptr);
+                        BuildMode /*build*/ = BuildMode::kLazy);
 
   /// Equal-candidate path set for an ordered host pair; non-empty for every
-  /// connected pair. In lazy mode this materializes the pair on first use.
+  /// connected pair. Materializes the pair on first use.
   /// Precondition: both are hosts in this topology (asserted
   /// in debug; release returns an empty set — use has_paths()/is_host_pair()
   /// to distinguish "partitioned" from "not a host").
   [[nodiscard]] PathSet paths(NodeId src_host, NodeId dst_host) const;
 
-  /// True iff both nodes are hosts of the current topology (a valid key for
-  /// the table, whether or not it currently has candidates).
+  /// True iff both nodes are hosts of the topology (a valid key for the
+  /// table, whether or not it currently has candidates).
   [[nodiscard]] bool is_host_pair(NodeId src_host, NodeId dst_host) const;
 
-  /// True iff the ordered pair is a host pair with at least one cached path
-  /// (false means partitioned — or not hosts at all; see is_host_pair()).
-  /// In lazy mode this materializes the pair on first use.
+  /// True iff the ordered pair is a host pair with at least one path (false
+  /// means partitioned — or not hosts at all; see is_host_pair()).
+  /// Materializes the pair on first use.
   [[nodiscard]] bool has_paths(NodeId src_host, NodeId dst_host) const;
 
-  /// Computes every not-yet-materialized pair. With a thread pool, per-pair
-  /// Yen runs execute concurrently into private scratch and are interned on
-  /// the calling thread in canonical slot order — the PathId sequence (part
-  /// of the determinism contract) is identical to computing the same pairs
-  /// serially. Without one (or with a single-threaded pool), runs serially.
-  void materialize_all(util::ThreadPool* pool = nullptr);
-
-  /// Ordered host pairs whose candidates are currently computed. Equals the
-  /// full pair count for an eager graph; grows with queries in lazy mode.
+  /// Ordered host pairs whose candidates are currently computed.
   [[nodiscard]] std::size_t pairs_materialized() const {
     return materialized_count_;
   }
-  [[nodiscard]] BuildMode build_mode() const { return build_; }
 
   [[nodiscard]] std::size_t k() const { return k_; }
   [[nodiscard]] const Topology& topology() const { return *topo_; }
-  [[nodiscard]] const PathPool& pool() const { return pool_; }
   [[nodiscard]] const RoutingCounters& counters() const { return counters_; }
 
   /// Interns an externally built path (e.g. composed rack chains) into the
@@ -265,30 +205,21 @@ class RoutingGraph {
   PathId intern(Path path) { return pool_.intern(std::move(path)); }
   [[nodiscard]] const Path& path(PathId id) const { return pool_.path(id); }
 
-  /// Number of ordered host pairs whose last Yen run *touched* `l` — i.e.
-  /// any generated candidate (chosen or not) traversed it. This is the set
-  /// an incremental rebuild recomputes when `l` fails; the bench uses it to
-  /// pick a worst-case victim link.
-  [[nodiscard]] std::size_t pairs_using(LinkId l) const;
-
-  /// Recomputes the table, excluding `banned_links` (failed links) from
-  /// every path — the controller's topology-update service calls this on
-  /// link-failure/restore events. kIncremental recomputes (lazy: invalidates)
-  /// only pairs the banned-set delta can affect; a different/resized
-  /// topology always forces a full rebuild (and invalidates pool ids). A
-  /// no-op delta (same topology, same banned set) returns immediately,
-  /// bumping only the noop_rebuilds counter.
-  void rebuild(const Topology& topo,
-               const std::unordered_set<LinkId>& banned_links = {},
-               RebuildMode mode = RebuildMode::kIncremental);
+  /// Excludes `banned_links` (failed links) from every path from now on —
+  /// the controller's topology-update service calls this on link-failure/
+  /// restore events. A changed banned set drops every materialized pair
+  /// (they recompute on their next query); an unchanged one returns
+  /// immediately, bumping only the noop_rebuilds counter. Interned paths
+  /// and their ids stay valid either way.
+  void rebuild(const std::unordered_set<LinkId>& banned_links = {});
 
   /// Serializes the routing state for snapshots (section version
   /// kStateVersion): per-pair candidate link chains in slot order plus the
   /// banned set (sorted). Chains — not raw pool ids — keep the section
-  /// independent of interning order, which in lazy mode depends on query
-  /// order; every unmaterialized pair is materialized first (pure per-pair
-  /// computation, so this cannot perturb behavior), making lazy, eager, and
-  /// parallel-built graphs byte-identical here.
+  /// independent of interning order, which depends on query order; every
+  /// unmaterialized pair is materialized first (pure per-pair computation,
+  /// so this cannot perturb behavior), making the bytes independent of
+  /// which pairs were queried before the capture.
   void encode_state(sim::StateEncoder& enc) const;
 
   /// Leading u32 of the encode_state section; bumped when the routing
@@ -296,23 +227,15 @@ class RoutingGraph {
   /// pool-id dump — see docs/checkpoint.md).
   static constexpr std::uint32_t kStateVersion = 2;
 
-  /// Rebuild-work counters, serialized as their own snapshot section:
-  /// contracted-identical arms (incremental vs. full rebuild) agree on
-  /// encode_state but legitimately differ here, so divergence bisection
-  /// compares behavioral sections only (see Snapshot::describe_divergence).
+  /// Routing-work counters, serialized as their own snapshot section: they
+  /// depend on when pairs were queried, not on what the table holds, so
+  /// divergence bisection compares behavioral sections only (see
+  /// Snapshot::describe_divergence).
   void encode_counters(sim::StateEncoder& enc) const;
 
  private:
   static constexpr std::uint32_t kNotHost =
       std::numeric_limits<std::uint32_t>::max();
-
-  /// One pair's Yen result before interning: private scratch a worker thread
-  /// can fill without touching shared graph state. `touched` is sorted and
-  /// deduplicated by compute_pair().
-  struct PairScratch {
-    std::vector<Path> found;
-    std::vector<LinkId> touched;
-  };
 
   [[nodiscard]] std::uint32_t host_slot(NodeId n) const {
     return n.value() < host_slot_.size() ? host_slot_[n.value()] : kNotHost;
@@ -324,67 +247,31 @@ class RoutingGraph {
     return slot / hosts_.size() == slot % hosts_.size();
   }
 
-  void index_topology(const Topology& topo);
-  void rebuild_full(const std::unordered_set<LinkId>& banned);
-  void rebuild_incremental(const std::unordered_set<LinkId>& banned);
-  /// Pure per-pair Yen run into scratch: reads only the topology and the
-  /// banned set, writes only `out` — safe to fan across worker threads.
-  void compute_pair(std::size_t slot, const std::unordered_set<LinkId>& banned,
-                    PairScratch& out) const;
-  /// Interns a scratch result and installs it (PathId assignment happens
-  /// here, on the calling thread — never on workers). const because it
-  /// mutates only the lazy-cache members below.
-  void commit_pair(std::size_t slot, PairScratch&& scratch) const;
-  /// compute_pair + commit_pair for one slot.
-  void recompute_pair(std::size_t slot,
-                      const std::unordered_set<LinkId>& banned) const;
-  /// Lazy mode: drops a materialized pair's candidates (the next query
-  /// recomputes them under the then-current banned set). Keeps the stored
-  /// touched union as the diff witness for the eventual re-commit.
-  void invalidate_pair(std::size_t slot);
-  /// Materializes `slot` if it is an unmaterialized off-diagonal pair.
+  /// Drops every materialized pair and counts one full rebuild.
+  void clear_table();
+  /// Yen-computes `slot` under the current banned set if it is an
+  /// unmaterialized off-diagonal pair. const: lazy-cache members only.
   void ensure_pair(std::size_t slot) const;
-  /// Replaces a pair's candidates and touched-link union, updating the
-  /// link → pairs reverse index by diffing old and new unions. `touched`
-  /// must be sorted and deduplicated. const: lazy-cache members only.
-  void set_pair(std::size_t slot, std::vector<PathId> ids,
-                std::vector<LinkId> touched) const;
-  /// Hop-count BFS from `origin` over non-banned links; `reverse` walks
-  /// links backwards (distance *to* origin). Fills `dist` (kUnreachable for
-  /// disconnected nodes).
-  void bfs_hops(NodeId origin, bool reverse,
-                const std::unordered_set<LinkId>& banned,
-                std::vector<std::uint32_t>& dist) const;
 
   // pythia-lint: allow(snapshot-skip, group) construction-time derivations
-  // of the (fingerprinted) topology: wiring, host maps, reverse adjacency,
-  // and sizes rebuild identically in the restored process. k_ and banned_
-  // ARE encoded.
-  const Topology* topo_ = nullptr;
-  std::size_t k_ = 0;
-  BuildMode build_ = BuildMode::kEager;
+  // of the (fingerprinted) topology: wiring and host maps rebuild
+  // identically in the restored process. k_ and banned_ ARE encoded.
+  const Topology* topo_;
+  std::size_t k_;
   std::vector<NodeId> hosts_;
   std::vector<std::uint32_t> host_slot_;  // node id → host index or kNotHost
-  std::vector<std::vector<LinkId>> in_links_;  // reverse adjacency for BFS
-  std::unordered_set<LinkId> banned_;          // banned set of last rebuild
-  std::size_t node_count_ = 0;
-  std::size_t link_count_ = 0;
+  std::unordered_set<LinkId> banned_;     // banned set of last rebuild
 
   // Lazy cache: logically-const queries (paths/has_paths/encode_state)
   // materialize pairs on demand, so these are mutable. Every materialized
   // entry equals the pure per-pair Yen result under the current banned set —
   // query order cannot change what is stored, only when.
-  // pythia-lint: allow(snapshot-skip, group) the touched unions, reverse
-  // index, and materialization flags are re-derived from the encoded pool_
-  // and table_ on restore; by the invariant above their contents are a pure
-  // function of what is stored, never of query order.
+  // pythia-lint: allow(snapshot-skip, group) materialization flags and
+  // counts are re-derived from the encoded table_ on restore; by the
+  // invariant above they never depend on query order.
   mutable PathPool pool_;
   // Dense table: slot = host_slot(src) * H + host_slot(dst).
   mutable std::vector<std::vector<PathId>> table_;
-  // Per-slot sorted union of links touched by the pair's last Yen run.
-  mutable std::vector<std::vector<LinkId>> pair_links_;
-  // Reverse index: link id → slots whose last Yen run touched it.
-  mutable std::vector<std::vector<std::uint32_t>> link_pairs_;
   // Per-slot flag: candidates computed and current (off-diagonal only).
   mutable std::vector<char> materialized_;
   mutable std::size_t materialized_count_ = 0;

@@ -16,11 +16,10 @@ Controller::Controller(sim::Simulation& sim, net::Fabric& fabric,
       fabric_(&fabric),
       topo_(&topo),
       cfg_(cfg),
-      // Lazy: pairs Yen-compute on first query, so warehouse-scale
-      // topologies don't pay the full cold build at startup. Behaviorally
-      // identical to eager (per-pair results are pure in topology + banned
-      // set); proven byte-identical by tests/net/test_routing_lazy.cpp.
-      routing_(topo, cfg.k_paths, net::BuildMode::kLazy),
+      // Pairs Yen-compute on first query, so warehouse-scale topologies
+      // don't pay a full table build at startup. tests/net/test_routing_lazy
+      // checks every pair against a direct per-pair Yen run.
+      routing_(topo, cfg.k_paths),
       ecmp_(routing_),
       snapshot_load_bps_(topo.link_count(), 0.0),
       snapshot_shuffle_bps_(topo.link_count(), 0.0),
@@ -443,7 +442,7 @@ void Controller::handle_link_failure(net::LinkId l) {
     if (!failed_links_.insert(d).second) continue;
     fabric_->fail_link(d);
   }
-  routing_.rebuild(*topo_, failed_links_);
+  routing_.rebuild(failed_links_);
   ++topology_rebuilds_;
 
   // Purge forwarding rules (host-pair and rack wildcards) that traverse a
@@ -513,7 +512,7 @@ void Controller::handle_link_restore(net::LinkId l) {
     }
   }
   if (changed) {
-    routing_.rebuild(*topo_, failed_links_);
+    routing_.rebuild(failed_links_);
     ++topology_rebuilds_;
   }
 }

@@ -130,7 +130,10 @@ class Snapshot {
   // v5: one fabric rate engine — fabric.counters drops the cohort
   // coalescing counters (deferred recomputes, cohort flushes), and the
   // scenario fingerprint no longer encodes a coalescing flag.
-  static constexpr std::uint32_t kFormatVersion = 5;
+  // v6: one routing table — routing.counters keeps its layout, but
+  // incremental_rebuilds and pairs_reused are always 0 and
+  // pairs_invalidated counts whole-table drops.
+  static constexpr std::uint32_t kFormatVersion = 6;
 
   // --- identity + cursor (set by the capturing layer) ---
   std::uint64_t root_seed = 0;

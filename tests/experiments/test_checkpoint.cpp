@@ -145,25 +145,24 @@ TEST(CheckpointDrill, MidLinkFailureRestoresWithPrologue) {
 
 /// The controller's routing graph is built lazily; the snapshot routing
 /// section (slot-ordered link chains, forced materialization) must
-/// nonetheless byte-match an eagerly built graph on the same topology — the
-/// contract that makes lazy construction invisible to checkpoint identity.
-TEST(CheckpointIdentity, LazyRoutingSectionMatchesEagerBuild) {
+/// nonetheless byte-match a fresh graph rebuilt to the controller's failed
+/// links — the contract that makes query history invisible to checkpoint
+/// identity.
+TEST(CheckpointIdentity, LazyRoutingSectionMatchesFreshGraph) {
   const ScenarioConfig cfg = faulted_config(5);
   const auto job = test_job();
   Scenario scenario(cfg);
   scenario.submit_job(job);
   scenario.run_to_event_count(400);
-  ASSERT_EQ(scenario.controller().routing().build_mode(),
-            net::BuildMode::kLazy);
   // A real mid-run capture leaves some pairs unmaterialized.
-  const sim::Snapshot snap = capture_snapshot(scenario, job, "lazy-vs-eager");
+  const sim::Snapshot snap = capture_snapshot(scenario, job, "lazy-vs-fresh");
   const auto* routing = snap.section("routing");
   ASSERT_NE(routing, nullptr);
 
-  const net::RoutingGraph eager(scenario.topology(),
-                                cfg.controller.k_paths);
+  net::RoutingGraph fresh(scenario.topology(), cfg.controller.k_paths);
+  fresh.rebuild(scenario.controller().failed_links());
   sim::StateEncoder enc;
-  eager.encode_state(enc);
+  fresh.encode_state(enc);
   EXPECT_EQ(routing->bytes, enc.take());
 }
 
