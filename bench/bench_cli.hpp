@@ -1,16 +1,10 @@
 // Tiny shared flag parser for the bench binaries.
 //
 //   --threads N       worker threads for sweep fan-out (0 = all hardware cores)
-//   --smoke           reduced problem size for CI smoke runs
-//   --out FILE        machine-readable results (JSON) destination (legacy)
-//   --json-out FILE   same destination, shared across every bench; takes
-//                     precedence over --out so CI jobs can redirect all
-//                     artifacts without colliding on fixed in-tree names
 #pragma once
 
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "experiments/crash_handler.hpp"
 
@@ -18,17 +12,6 @@ namespace pythia::benchcli {
 
 struct Args {
   std::size_t threads = 0;  // 0 = one worker per hardware core
-  bool smoke = false;
-  std::string out;       // --out (legacy per-bench flag)
-  std::string json_out;  // --json-out (shared artifact-redirect flag)
-
-  /// The JSON destination to use: --json-out wins, then --out, then the
-  /// bench's default filename.
-  [[nodiscard]] std::string json_path(const std::string& fallback) const {
-    if (!json_out.empty()) return json_out;
-    if (!out.empty()) return out;
-    return fallback;
-  }
 };
 
 inline Args parse(int argc, char** argv) {
@@ -37,14 +20,8 @@ inline Args parse(int argc, char** argv) {
   exp::install_crash_handler();
   Args args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      args.smoke = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       args.threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      args.out = argv[++i];
-    } else if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-      args.json_out = argv[++i];
     }
   }
   return args;

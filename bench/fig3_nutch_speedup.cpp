@@ -26,8 +26,15 @@ int main(int argc, char** argv) {
   sweep.threads = args.threads;
   const auto job = workloads::paper_nutch();
   exp::RunnerCounters counters;
-  const auto rows = exp::run_oversubscription_sweep(
+  const auto result = exp::run_oversubscription_sweep(
       sweep, job, exp::paper_oversubscription_points(), &counters);
+  if (!result.failures.empty()) {
+    for (const auto& f : result.failures) {
+      std::fprintf(stderr, "%s\n", exp::describe_failure(f).c_str());
+    }
+    return 1;
+  }
+  const auto& rows = result.rows;
 
   auto table = exp::speedup_table(rows, "ECMP", "Pythia");
   std::printf("%s", table.to_string().c_str());

@@ -1,10 +1,10 @@
 // Crash-drill harness for the CI checkpoint job (and for poking the
-// crash-tolerant executor by hand).
+// crash-tolerant sweep by hand).
 //
-// Runs a small fixed oversubscription sweep through the guarded executor and
-// prints its deterministic CSV to stdout; failures go to stderr. CI runs it
-// clean, then with PYTHIA_INJECT_RUN_FAULT / PYTHIA_INJECT_RUN_TIMEOUT set,
-// and diffs the outputs — injected first-attempt crashes and timeouts must
+// Runs a small fixed oversubscription sweep and prints its deterministic CSV
+// to stdout; failures go to stderr. CI runs it clean, then with
+// PYTHIA_INJECT_RUN_FAULT / PYTHIA_INJECT_RUN_TIMEOUT set, and diffs the
+// outputs — injected first-attempt crashes and timeouts must
 // recover (retry on the same seed lane) to byte-identical results. With
 // --manifest it also exercises sweep resume across process launches.
 //
@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   using namespace pythia;
   exp::install_crash_handler();
 
-  exp::GuardedSweepConfig cfg;
-  cfg.sweep.seeds = {1, 2};
-  cfg.sweep.threads = 2;
+  exp::SweepConfig cfg;
+  cfg.seeds = {1, 2};
+  cfg.threads = 2;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--manifest") == 0 && i + 1 < argc) {
       cfg.manifest_path = argv[++i];
@@ -48,21 +48,14 @@ int main(int argc, char** argv) {
       workloads::sort_job(util::Bytes{8'000'000'000LL}, 32);
   const std::vector<exp::OversubPoint> points = {{"none", 1.0},
                                                  {"1:10", 10.0}};
-  const auto result =
-      exp::run_oversubscription_sweep_guarded(cfg, job, points);
+  const auto result = exp::run_oversubscription_sweep(cfg, job, points);
 
   if (result.resumed_runs > 0) {
     std::fprintf(stderr, "resumed %zu run(s) from manifest\n",
                  result.resumed_runs);
   }
   for (const auto& f : result.failures) {
-    std::fprintf(stderr,
-                 "run %zu failed: point %s arm %s seed %llu — %s after %zu "
-                 "attempt(s): %s\n",
-                 f.run_index, f.point_label.c_str(), f.arm.c_str(),
-                 static_cast<unsigned long long>(f.seed),
-                 exp::run_failure_name(f.kind), f.attempts,
-                 f.message.c_str());
+    std::fprintf(stderr, "%s\n", exp::describe_failure(f).c_str());
   }
 
   // The deterministic artifact: byte-identical for any thread count and

@@ -57,9 +57,6 @@ void encode_scenario_config(const ScenarioConfig& cfg,
   enc.put_duration(ctl.retry_backoff);
   enc.put_duration(ctl.install_timeout);
 
-  enc.put_duration(cfg.hedera.poll_period);
-  enc.put_f64(cfg.hedera.elephant_fraction);
-
   const core::PythiaConfig& py = cfg.pythia;
   enc.put_duration(py.instrumentation.decode_delay);
   enc.put_duration(py.instrumentation.management_latency);
@@ -84,7 +81,6 @@ void encode_scenario_config(const ScenarioConfig& cfg,
   enc.put_duration(py.watchdog.failure_window);
   enc.put_duration(py.watchdog.recovery_grace);
   enc.put_u64(py.watchdog.max_fallbacks);
-  enc.put_duration(cfg.flowcomb_extra_delay);
 
   const hadoop::ClusterConfig& cl = cfg.cluster;
   enc.put_u64(cl.map_slots_per_server);

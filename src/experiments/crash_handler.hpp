@@ -7,11 +7,11 @@
 // write(2) — then flushes the log sink and re-raises the signal so the
 // exit status stays honest.
 //
-// Stamps are plain atomics updated from the run loop (the executor stamps
+// Stamps are plain atomics updated from the run loop (run_guarded stamps
 // the run label at attempt start; the cooperative abort-check poll stamps
 // sim progress every kAbortCheckStride events), so the handler never touches
 // simulation state. Installation is idempotent; both the bench CLI and the
-// guarded sweep executor install it.
+// oversubscription sweep install it.
 #pragma once
 
 #include <cstddef>

@@ -85,40 +85,48 @@ void RunContext::bind(sim::Simulation& sim) const {
   });
 }
 
-RunContext ParallelRunner::make_context(std::size_t index,
-                                        std::size_t attempt,
-                                        const RunGuard& guard) {
-  RunContext ctx;
-  ctx.index_ = index;
-  ctx.attempt_ = attempt;
-  if (guard.timeout_seconds > 0.0) {
-    ctx.deadline_ns_ =
-        steady_ns() +
-        static_cast<std::uint64_t>(guard.timeout_seconds * 1e9);
+RunOutcome run_guarded(std::size_t index, const RunGuard& guard,
+                       const std::function<double(const RunContext&)>& run) {
+  RunOutcome out;
+  const std::size_t budget = guard.max_attempts > 0 ? guard.max_attempts : 1;
+  for (std::size_t attempt = 1; attempt <= budget; ++attempt) {
+    RunContext ctx;
+    ctx.index_ = index;
+    if (guard.timeout_seconds > 0.0) {
+      ctx.deadline_ns_ =
+          steady_ns() +
+          static_cast<std::uint64_t>(guard.timeout_seconds * 1e9);
+    }
+    // Injected faults hit only the first attempt: the retry then succeeds,
+    // exercising the recovery path end to end.
+    if (attempt == 1) {
+      ctx.inject_fault_ = env_index_listed("PYTHIA_INJECT_RUN_FAULT", index);
+      ctx.inject_timeout_ =
+          env_index_listed("PYTHIA_INJECT_RUN_TIMEOUT", index);
+    }
+    out.attempts = attempt;
+    crash_stamp_run(index, guard.describe ? guard.describe(index)
+                                          : std::string());
+    try {
+      out.value = run(ctx);
+      out.failure = RunFailureKind::kNone;
+      out.message.clear();
+      break;
+    } catch (const sim::AbortedError& e) {
+      out.failure = RunFailureKind::kTimeout;
+      out.message = "run timed out at sim t=" + std::to_string(e.at.ns()) +
+                    "ns after " + std::to_string(e.events_fired) + " events";
+    } catch (const std::exception& e) {
+      out.failure = RunFailureKind::kException;
+      out.message = e.what();
+    } catch (...) {
+      out.failure = RunFailureKind::kException;
+      out.message = "unknown exception";
+    }
   }
-  // Injected faults hit only the first attempt: the retry then succeeds,
-  // exercising the recovery path end to end.
-  if (attempt == 1) {
-    ctx.inject_fault_ = env_index_listed("PYTHIA_INJECT_RUN_FAULT", index);
-    ctx.inject_timeout_ =
-        env_index_listed("PYTHIA_INJECT_RUN_TIMEOUT", index);
-  }
-  return ctx;
+  crash_stamp_clear();
+  return out;
 }
-
-std::string ParallelRunner::describe_abort(const sim::AbortedError& e) {
-  return "run timed out at sim t=" + std::to_string(e.at.ns()) +
-         "ns after " + std::to_string(e.events_fired) + " events";
-}
-
-void ParallelRunner::install_crash_reporting() { install_crash_handler(); }
-
-void ParallelRunner::stamp_run(std::size_t index, const RunGuard& guard) {
-  crash_stamp_run(index, guard.describe ? guard.describe(index)
-                                        : std::string());
-}
-
-void ParallelRunner::clear_stamp() { crash_stamp_clear(); }
 
 ParallelRunner::ParallelRunner(std::size_t threads)
     : pool_(std::make_unique<util::ThreadPool>(threads)) {}

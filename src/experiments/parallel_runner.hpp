@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pythia::sim {
@@ -57,7 +56,7 @@ enum class RunFailureKind : std::uint8_t {
 
 [[nodiscard]] const char* run_failure_name(RunFailureKind kind);
 
-/// Crash-tolerance policy for map_guarded().
+/// Crash-tolerance policy for run_guarded().
 struct RunGuard {
   /// Per-attempt wall-clock budget in seconds; 0 disables the timeout. The
   /// deadline is enforced cooperatively (EventQueue abort checks), so it
@@ -72,7 +71,18 @@ struct RunGuard {
   std::function<std::string(std::size_t)> describe;
 };
 
-/// Per-attempt context handed to a guarded task. The task must call
+/// Outcome of one guarded run: the value (valid when ok()), or a typed
+/// failure with the attempt count and diagnostic message.
+struct RunOutcome {
+  double value = 0.0;
+  RunFailureKind failure = RunFailureKind::kNone;
+  std::size_t attempts = 0;
+  std::string message;
+
+  [[nodiscard]] bool ok() const { return failure == RunFailureKind::kNone; }
+};
+
+/// Per-attempt context handed to a guarded run. The run must call
 /// bind(sim) once its simulation exists: that installs the wall-clock
 /// deadline (and test-only injected faults) into the event loop and wires
 /// the crash handler's progress stamps.
@@ -81,30 +91,32 @@ class RunContext {
   /// Arms the deadline/injection against `sim`; throws immediately when
   /// this (index, attempt) has an injected fault (PYTHIA_INJECT_RUN_FAULT).
   void bind(sim::Simulation& sim) const;
-  [[nodiscard]] std::size_t run_index() const { return index_; }
-  /// 1-based attempt number (1 = first try).
-  [[nodiscard]] std::size_t attempt() const { return attempt_; }
 
  private:
-  friend class ParallelRunner;
+  friend RunOutcome run_guarded(
+      std::size_t index, const RunGuard& guard,
+      const std::function<double(const RunContext&)>& run);
   std::size_t index_ = 0;
-  std::size_t attempt_ = 1;
   std::uint64_t deadline_ns_ = 0;  // steady-clock deadline; 0 = none
   bool inject_fault_ = false;      // throw on bind (attempt 1 only)
   bool inject_timeout_ = false;    // abort at the first check (attempt 1 only)
 };
 
-/// Outcome of one guarded run: the value (valid when ok()), or a typed
-/// failure with the attempt count and diagnostic message.
-template <typename T>
-struct GuardedResult {
-  T value{};
-  RunFailureKind failure = RunFailureKind::kNone;
-  std::size_t attempts = 0;
-  std::string message;
-
-  [[nodiscard]] bool ok() const { return failure == RunFailureKind::kNone; }
-};
+/// Crash-tolerant execution of run `index`: a run that throws or exceeds
+/// the guard's wall-clock budget is retried (same index → same seed lane,
+/// so a retry is an exact deterministic re-execution) up to
+/// guard.max_attempts times, then returned as a typed failure instead of
+/// propagating. The crash handler's per-thread stamp names the run while
+/// it executes. A surviving value is bit-identical to calling `run`
+/// unguarded, on any thread.
+///
+/// Test-only fault injection: PYTHIA_INJECT_RUN_FAULT /
+/// PYTHIA_INJECT_RUN_TIMEOUT name comma-separated run indices whose
+/// FIRST attempt fails (thrown exception / immediate cooperative abort);
+/// retries succeed, exercising the recovery path end to end.
+[[nodiscard]] RunOutcome run_guarded(
+    std::size_t index, const RunGuard& guard,
+    const std::function<double(const RunContext&)>& run);
 
 class ParallelRunner {
  public:
@@ -140,58 +152,6 @@ class ParallelRunner {
     return results;
   }
 
-  /// Crash-tolerant fan-out: like map(), but a run that throws or exceeds
-  /// the guard's wall-clock budget is retried (same index → same seed lane,
-  /// so a retry is an exact deterministic re-execution) up to
-  /// guard.max_attempts times, then recorded as a typed failure in its
-  /// canonical slot instead of aborting the sweep. Surviving results are
-  /// bit-identical to an unguarded map() for ANY thread count.
-  ///
-  /// Test-only fault injection: PYTHIA_INJECT_RUN_FAULT /
-  /// PYTHIA_INJECT_RUN_TIMEOUT name comma-separated run indices whose
-  /// FIRST attempt fails (thrown exception / immediate cooperative abort);
-  /// retries succeed, exercising the recovery path end to end.
-  template <typename T>
-  std::vector<GuardedResult<T>> map_guarded(
-      std::size_t n,
-      const std::function<T(std::size_t, const RunContext&)>& fn,
-      const RunGuard& guard = {}) {
-    install_crash_reporting();
-    std::vector<GuardedResult<T>> results(n);
-    const std::uint64_t batch_t0_ns = begin_batch();
-    for (std::size_t i = 0; i < n; ++i) {
-      pool().submit([&, i] {
-        GuardedResult<T>& slot = results[i];
-        const std::size_t budget = guard.max_attempts > 0 ? guard.max_attempts
-                                                          : 1;
-        for (std::size_t attempt = 1; attempt <= budget; ++attempt) {
-          const RunContext ctx = make_context(i, attempt, guard);
-          slot.attempts = attempt;
-          stamp_run(i, guard);
-          try {
-            slot.value = fn(i, ctx);
-            slot.failure = RunFailureKind::kNone;
-            slot.message.clear();
-            break;
-          } catch (const sim::AbortedError& e) {
-            slot.failure = RunFailureKind::kTimeout;
-            slot.message = describe_abort(e);
-          } catch (const std::exception& e) {
-            slot.failure = RunFailureKind::kException;
-            slot.message = e.what();
-          } catch (...) {
-            slot.failure = RunFailureKind::kException;
-            slot.message = "unknown exception";
-          }
-        }
-        clear_stamp();
-      });
-    }
-    pool().wait_idle();
-    end_batch(batch_t0_ns);
-    return results;
-  }
-
   [[nodiscard]] std::size_t thread_count() const;
   /// Runs finished so far; safe to poll from another thread mid-batch.
   [[nodiscard]] std::uint64_t runs_completed() const;
@@ -199,14 +159,6 @@ class ParallelRunner {
   [[nodiscard]] RunnerCounters counters() const;
 
  private:
-  // Non-template guts of map_guarded (see parallel_runner.cpp).
-  [[nodiscard]] static RunContext make_context(std::size_t index,
-                                               std::size_t attempt,
-                                               const RunGuard& guard);
-  [[nodiscard]] static std::string describe_abort(const sim::AbortedError& e);
-  static void install_crash_reporting();
-  static void stamp_run(std::size_t index, const RunGuard& guard);
-  static void clear_stamp();
   [[nodiscard]] util::ThreadPool& pool() { return *pool_; }
   // Wall-clock sampling is confined to these two and to the counters they
   // feed; timestamps never flow through map() or into result payloads.

@@ -25,6 +25,11 @@ std::string scheduler_name(SchedulerKind kind) {
 }
 
 namespace {
+
+/// Extra intent delay of the kFlowCombLike arm ("slower to detect", see
+/// SchedulerKind).
+constexpr util::Duration kFlowCombExtraDelay = util::Duration::seconds_i(3);
+
 net::Topology build_topology(const ScenarioConfig& cfg) {
   switch (cfg.topology_kind) {
     case TopologyKind::kTwoRack:
@@ -87,7 +92,7 @@ Scenario::Scenario(ScenarioConfig cfg)
       break;
     case SchedulerKind::kFlowCombLike: {
       core::PythiaConfig fc = cfg_.pythia;
-      fc.instrumentation.extra_delay = cfg_.flowcomb_extra_delay;
+      fc.instrumentation.extra_delay = kFlowCombExtraDelay;
       fc.allocator.load_aware = false;
       // The ECMP-fallback watchdog is a Pythia robustness feature; the
       // FlowComb-like strawman runs without it.
@@ -97,7 +102,7 @@ Scenario::Scenario(ScenarioConfig cfg)
       break;
     }
     case SchedulerKind::kHedera:
-      hedera_ = std::make_unique<sdn::HederaApp>(*controller_, cfg_.hedera);
+      hedera_ = std::make_unique<sdn::HederaApp>(*controller_);
       break;
     case SchedulerKind::kStaticOracle:
       install_static_oracle();

@@ -44,10 +44,7 @@ struct ScenarioConfig {
 
   net::BackgroundSpec background;
   sdn::ControllerConfig controller;
-  sdn::HederaConfig hedera;
   core::PythiaConfig pythia;
-  /// Extra intent delay applied in the kFlowCombLike arm.
-  util::Duration flowcomb_extra_delay = util::Duration::seconds_i(3);
 
   /// Slot/copy parameters; `servers` is filled from the topology.
   hadoop::ClusterConfig cluster;

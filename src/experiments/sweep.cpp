@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "experiments/checkpoint.hpp"
+#include "experiments/crash_handler.hpp"
 #include "experiments/manifest.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
@@ -31,55 +32,43 @@ std::string exact_double(double v) {
   return std::string(buf, res.ptr);
 }
 
-}  // namespace
+constexpr SchedulerKind kArms[2] = {SchedulerKind::kEcmp,
+                                    SchedulerKind::kPythia};
 
-std::vector<SpeedupRow> run_oversubscription_sweep(
-    const SweepConfig& sweep, const hadoop::JobSpec& job,
-    const std::vector<OversubPoint>& points, ParallelRunner& runner) {
-  // Canonical run order: point-major, then arm (baseline first), then seed.
-  // Every run derives its whole universe from its (point, arm, seed) cell,
-  // so the gathered vector is independent of worker scheduling.
+/// The (point, arm, seed) cell of run `i`. Canonical run order: point-major,
+/// then arm (ECMP first), then seed. Every run derives its whole universe
+/// from its cell, so results are independent of worker scheduling.
+struct Cell {
+  const OversubPoint& point;
+  SchedulerKind arm;
+  std::uint64_t seed;
+};
+
+Cell cell_of(const SweepConfig& sweep, const std::vector<OversubPoint>& points,
+             std::size_t i) {
   const std::size_t seeds = sweep.seeds.size();
-  const std::size_t runs_per_point = 2 * seeds;
-  const auto completions = runner.map<double>(
-      points.size() * runs_per_point, [&](std::size_t i) {
-        const std::size_t point_idx = i / runs_per_point;
-        const std::size_t arm = (i % runs_per_point) / seeds;
-        const std::size_t seed_idx = i % seeds;
-        ScenarioConfig cfg = sweep.base;
-        cfg.seed = sweep.seeds[seed_idx];
-        cfg.background.oversubscription = points[point_idx].ratio;
-        cfg.scheduler = arm == 0 ? sweep.baseline : sweep.treatment;
-        return run_completion_seconds(cfg, job);
-      });
-
-  std::vector<SpeedupRow> rows;
-  rows.reserve(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    util::RunningStats base_stats;
-    util::RunningStats treat_stats;
-    for (std::size_t s = 0; s < seeds; ++s) {
-      base_stats.add(completions[p * runs_per_point + s]);
-      treat_stats.add(completions[p * runs_per_point + seeds + s]);
-    }
-    SpeedupRow row;
-    row.label = points[p].label;
-    row.baseline_mean_s = base_stats.mean();
-    row.baseline_stddev_s = base_stats.stddev();
-    row.treatment_mean_s = treat_stats.mean();
-    row.treatment_stddev_s = treat_stats.stddev();
-    rows.push_back(row);
-  }
-  return rows;
+  return Cell{points[i / (2 * seeds)], kArms[(i / seeds) % 2],
+              sweep.seeds[i % seeds]};
 }
 
-std::vector<SpeedupRow> run_oversubscription_sweep(
-    const SweepConfig& sweep, const hadoop::JobSpec& job,
-    const std::vector<OversubPoint>& points, RunnerCounters* counters) {
-  ParallelRunner runner(sweep.threads);
-  auto rows = run_oversubscription_sweep(sweep, job, points, runner);
-  if (counters != nullptr) *counters = runner.counters();
-  return rows;
+ScenarioConfig cell_config(const SweepConfig& sweep,
+                           const std::vector<OversubPoint>& points,
+                           std::size_t i) {
+  const Cell cell = cell_of(sweep, points, i);
+  ScenarioConfig cfg = sweep.base;
+  cfg.seed = cell.seed;
+  cfg.background.oversubscription = cell.point.ratio;
+  cfg.scheduler = cell.arm;
+  return cfg;
+}
+
+}  // namespace
+
+std::string describe_failure(const SweepRunFailure& f) {
+  return "run " + std::to_string(f.run_index) + " failed: point " +
+         f.point_label + " arm " + f.arm + " seed " + std::to_string(f.seed) +
+         " — " + run_failure_name(f.kind) + " after " +
+         std::to_string(f.attempts) + " attempt(s): " + f.message;
 }
 
 std::uint64_t sweep_fingerprint(const SweepConfig& sweep,
@@ -97,111 +86,86 @@ std::uint64_t sweep_fingerprint(const SweepConfig& sweep,
   };
   mix(points.size());
   mix(sweep.seeds.size());
-  for (const OversubPoint& point : points) {
-    for (std::size_t arm = 0; arm < 2; ++arm) {
-      for (std::uint64_t seed : sweep.seeds) {
-        ScenarioConfig cfg = sweep.base;
-        cfg.seed = seed;
-        cfg.background.oversubscription = point.ratio;
-        cfg.scheduler = arm == 0 ? sweep.baseline : sweep.treatment;
-        mix(scenario_fingerprint(cfg, job));
-      }
-    }
+  const std::size_t total_runs = points.size() * 2 * sweep.seeds.size();
+  for (std::size_t i = 0; i < total_runs; ++i) {
+    mix(scenario_fingerprint(cell_config(sweep, points, i), job));
   }
   return h;
 }
 
-GuardedSweepResult run_oversubscription_sweep_guarded(
-    const GuardedSweepConfig& cfg, const hadoop::JobSpec& job,
-    const std::vector<OversubPoint>& points, RunnerCounters* counters) {
-  const SweepConfig& sweep = cfg.sweep;
+SweepResult run_oversubscription_sweep(const SweepConfig& sweep,
+                                       const hadoop::JobSpec& job,
+                                       const std::vector<OversubPoint>& points,
+                                       RunnerCounters* counters) {
   const std::size_t seeds = sweep.seeds.size();
   const std::size_t runs_per_point = 2 * seeds;
   const std::size_t total_runs = points.size() * runs_per_point;
 
-  GuardedSweepResult result;
+  SweepResult result;
 
   SweepManifest manifest;
   std::vector<bool> cached(total_runs, false);
-  if (!cfg.manifest_path.empty()) {
+  if (!sweep.manifest_path.empty()) {
     result.resumed_runs = manifest.open(
-        cfg.manifest_path, sweep_fingerprint(sweep, job, points), total_runs);
+        sweep.manifest_path, sweep_fingerprint(sweep, job, points),
+        total_runs);
     for (std::size_t i = 0; i < total_runs; ++i) cached[i] = manifest.has_ok(i);
   }
 
-  const auto cell_of = [&](std::size_t i) {
-    struct Cell {
-      std::size_t point_idx;
-      std::size_t arm;
-      std::size_t seed_idx;
-    };
-    return Cell{i / runs_per_point, (i % runs_per_point) / seeds, i % seeds};
-  };
-  const auto cell_config = [&](std::size_t i) {
-    const auto cell = cell_of(i);
-    ScenarioConfig run_cfg = sweep.base;
-    run_cfg.seed = sweep.seeds[cell.seed_idx];
-    run_cfg.background.oversubscription = points[cell.point_idx].ratio;
-    run_cfg.scheduler = cell.arm == 0 ? sweep.baseline : sweep.treatment;
-    return run_cfg;
-  };
-
-  RunGuard guard = cfg.guard;
+  RunGuard guard = sweep.guard;
   if (!guard.describe) {
-    guard.describe = [&, cell_of](std::size_t i) {
-      const auto cell = cell_of(i);
-      return "point " + points[cell.point_idx].label + " arm " +
-             scheduler_name(cell.arm == 0 ? sweep.baseline : sweep.treatment) +
-             " seed " + std::to_string(sweep.seeds[cell.seed_idx]);
+    guard.describe = [&](std::size_t i) {
+      const Cell cell = cell_of(sweep, points, i);
+      return "point " + cell.point.label + " arm " + scheduler_name(cell.arm) +
+             " seed " + std::to_string(cell.seed);
     };
   }
 
+  install_crash_handler();
   ParallelRunner runner(sweep.threads);
-  const auto outcomes = runner.map_guarded<double>(
-      total_runs,
-      [&](std::size_t i, const RunContext& ctx) {
-        if (cached[i]) return manifest.value(i);  // bit-exact resume
-        Scenario scenario(cell_config(i));
-        ctx.bind(scenario.simulation());
-        return scenario.run_job(job).completion_time().seconds();
-      },
-      guard);
+  const auto outcomes = runner.map<RunOutcome>(total_runs, [&](std::size_t i) {
+    if (cached[i]) {
+      RunOutcome served;
+      served.value = manifest.value(i);  // bit-exact resume
+      return served;
+    }
+    RunOutcome out = run_guarded(i, guard, [&](const RunContext& ctx) {
+      Scenario scenario(cell_config(sweep, points, i));
+      ctx.bind(scenario.simulation());
+      return scenario.run_job(job).completion_time().seconds();
+    });
+    // Record from the worker as soon as the attempts end, so a crash of the
+    // process later in the sweep keeps this run.
+    if (manifest.is_open()) {
+      if (out.ok()) {
+        manifest.record_ok(i, out.value);
+      } else {
+        manifest.record_failure(i, run_failure_name(out.failure),
+                                static_cast<std::uint32_t>(out.attempts));
+      }
+    }
+    return out;
+  });
   if (counters != nullptr) *counters = runner.counters();
 
-  // Record outcomes (skip manifest-served runs — already on disk) and
-  // collect typed failures in canonical index order.
+  // Typed failures in canonical index order.
   for (std::size_t i = 0; i < total_runs; ++i) {
-    const GuardedResult<double>& out = outcomes[i];
-    if (out.ok()) {
-      if (manifest.is_open() && !cached[i]) manifest.record_ok(i, out.value);
-      continue;
-    }
-    if (manifest.is_open()) {
-      manifest.record_failure(i, run_failure_name(out.failure),
-                              static_cast<std::uint32_t>(out.attempts));
-    }
-    const auto cell = cell_of(i);
-    SweepRunFailure failure;
-    failure.run_index = i;
-    failure.point_label = points[cell.point_idx].label;
-    failure.arm =
-        scheduler_name(cell.arm == 0 ? sweep.baseline : sweep.treatment);
-    failure.seed = sweep.seeds[cell.seed_idx];
-    failure.kind = out.failure;
-    failure.attempts = out.attempts;
-    failure.message = out.message;
-    result.failures.push_back(std::move(failure));
+    const RunOutcome& out = outcomes[i];
+    if (out.ok()) continue;
+    const Cell cell = cell_of(sweep, points, i);
+    result.failures.push_back(SweepRunFailure{
+        i, cell.point.label, scheduler_name(cell.arm), cell.seed, out.failure,
+        out.attempts, out.message});
   }
 
-  // Aggregate rows over surviving runs only; with zero failures this is
-  // byte-identical to the unguarded sweep.
+  // Aggregate rows over surviving runs, per point in seed order.
   result.rows.reserve(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     util::RunningStats base_stats;
     util::RunningStats treat_stats;
     for (std::size_t s = 0; s < seeds; ++s) {
-      const auto& base = outcomes[p * runs_per_point + s];
-      const auto& treat = outcomes[p * runs_per_point + seeds + s];
+      const RunOutcome& base = outcomes[p * runs_per_point + s];
+      const RunOutcome& treat = outcomes[p * runs_per_point + seeds + s];
       if (base.ok()) base_stats.add(base.value);
       if (treat.ok()) treat_stats.add(treat.value);
     }

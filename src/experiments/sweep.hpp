@@ -1,11 +1,12 @@
 // Parameter-sweep harness for the paper's evaluation figures: job completion
-// time vs. network over-subscription ratio, baseline vs. treatment, averaged
-// over seeds ("average of multiple executions" in the paper).
+// time vs. network over-subscription ratio, ECMP vs. Pythia, averaged over
+// seeds ("average of multiple executions" in the paper).
 //
 // Sweeps fan their independent (point × scheduler × seed) runs out across a
 // ParallelRunner; results are gathered in canonical order, so the returned
 // rows — and their CSV serialization — are bit-for-bit identical for any
-// thread count, including 1. See parallel_runner.hpp for the contract.
+// thread count, including 1. See parallel_runner.hpp for the contract and
+// docs/robustness.md for the crash-tolerance and resume behaviour.
 #pragma once
 
 #include <string>
@@ -47,30 +48,25 @@ struct SpeedupRow {
 };
 
 struct SweepConfig {
-  ScenarioConfig base;                 // scheduler field is overwritten
+  /// Per run, the seed, oversubscription ratio and scheduler are
+  /// overwritten by the run's (point, arm, seed) cell; the arms are always
+  /// ECMP (baseline) and Pythia (treatment), the paper's comparison.
+  ScenarioConfig base;
   std::vector<std::uint64_t> seeds{1, 2, 3};
-  SchedulerKind baseline = SchedulerKind::kEcmp;
-  SchedulerKind treatment = SchedulerKind::kPythia;
   /// Worker threads for the run fan-out; 0 = one per hardware core. Results
   /// are identical for every value — this only trades wall time.
   std::size_t threads = 0;
+  /// Per-run timeout/retry policy (see RunGuard); default: no timeout,
+  /// one retry.
+  RunGuard guard;
+  /// Checkpoint manifest path; empty disables persistence. Each run's
+  /// outcome is appended as soon as its attempts end, so a crash loses at
+  /// most the runs in flight. A re-launched sweep pointing at the same
+  /// manifest skips runs already completed ok and re-attempts failed or
+  /// missing ones. The manifest is fingerprinted: changing the config,
+  /// seeds, points, or job starts fresh.
+  std::string manifest_path;
 };
-
-/// Fig. 3 / Fig. 4 style sweep: for every over-subscription point, run the
-/// job under both schedulers across all seeds. Runs execute in parallel on
-/// `sweep.threads` workers; pass `counters` to receive progress/timing
-/// (runs completed, wall seconds, worker utilization).
-[[nodiscard]] std::vector<SpeedupRow> run_oversubscription_sweep(
-    const SweepConfig& sweep, const hadoop::JobSpec& job,
-    const std::vector<OversubPoint>& points,
-    RunnerCounters* counters = nullptr);
-
-/// Same, on a caller-owned runner (reuse one pool across several sweeps).
-[[nodiscard]] std::vector<SpeedupRow> run_oversubscription_sweep(
-    const SweepConfig& sweep, const hadoop::JobSpec& job,
-    const std::vector<OversubPoint>& points, ParallelRunner& runner);
-
-// --- crash-tolerant, resumable sweep (see docs/robustness.md) ---
 
 /// Typed failure of one sweep run, reported in canonical (point, arm, seed)
 /// order instead of aborting the whole sweep.
@@ -84,21 +80,12 @@ struct SweepRunFailure {
   std::string message;
 };
 
-struct GuardedSweepConfig {
-  SweepConfig sweep;
-  /// Per-run timeout/retry policy (see RunGuard); default: no timeout,
-  /// one retry.
-  RunGuard guard;
-  /// Checkpoint manifest path; empty disables persistence. A re-launched
-  /// sweep pointing at the same manifest skips runs already completed ok
-  /// and re-attempts failed/missing ones. The manifest is fingerprinted:
-  /// changing the config, seeds, points, or job starts fresh.
-  std::string manifest_path;
-};
+/// One-line report of a failed run ("run 3 failed: point 1:10 arm Pythia
+/// seed 2 — exception after 2 attempt(s): ...").
+[[nodiscard]] std::string describe_failure(const SweepRunFailure& failure);
 
-struct GuardedSweepResult {
-  /// Aggregated rows over the runs that completed ok; identical to the
-  /// unguarded sweep's rows whenever every run survives.
+struct SweepResult {
+  /// Aggregated rows over the runs that completed ok.
   std::vector<SpeedupRow> rows;
   /// Runs that exhausted their attempt budget, canonical order.
   std::vector<SweepRunFailure> failures;
@@ -107,18 +94,21 @@ struct GuardedSweepResult {
 };
 
 /// Stable fingerprint of an entire sweep (base config + job + seeds +
-/// points + arms); keys the resume manifest.
+/// points); keys the resume manifest.
 [[nodiscard]] std::uint64_t sweep_fingerprint(
     const SweepConfig& sweep, const hadoop::JobSpec& job,
     const std::vector<OversubPoint>& points);
 
-/// Crash-tolerant run of the oversubscription sweep: per-run wall-clock
-/// timeout + bounded retry on the same seed lane, crash isolation (a run
-/// that keeps failing becomes a typed entry in `failures`, the sweep
-/// completes), and manifest-based resume. Surviving results are
-/// bit-identical to run_oversubscription_sweep for any thread count.
-[[nodiscard]] GuardedSweepResult run_oversubscription_sweep_guarded(
-    const GuardedSweepConfig& cfg, const hadoop::JobSpec& job,
+/// Fig. 3 / Fig. 4 style sweep: for every over-subscription point, run the
+/// job under ECMP and Pythia across all seeds, on `sweep.threads` workers.
+/// Crash-tolerant: per-run wall-clock timeout and bounded retry on the same
+/// seed lane; a run that keeps failing becomes a typed entry in `failures`
+/// and the sweep completes over the survivors. With a manifest it resumes
+/// an interrupted sweep. Rows are bit-identical for any thread count and
+/// across crash/resume recovery. Pass `counters` to receive progress and
+/// timing (runs completed, wall seconds, worker utilization).
+[[nodiscard]] SweepResult run_oversubscription_sweep(
+    const SweepConfig& sweep, const hadoop::JobSpec& job,
     const std::vector<OversubPoint>& points,
     RunnerCounters* counters = nullptr);
 

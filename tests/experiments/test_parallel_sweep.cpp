@@ -53,8 +53,11 @@ TEST(ParallelSweep, ByteIdenticalAcrossThreadCounts) {
     sweep.seeds = {1, 2};
     sweep.threads = threads;
     RunnerCounters counters;
-    all_rows.push_back(
-        run_oversubscription_sweep(sweep, job, points, &counters));
+    const auto result =
+        run_oversubscription_sweep(sweep, job, points, &counters);
+    ASSERT_TRUE(result.failures.empty())
+        << describe_failure(result.failures.front());
+    all_rows.push_back(result.rows);
     all_csv.push_back(speedup_rows_csv(all_rows.back()));
     // 2 points x 2 arms x 2 seeds = 8 runs per sweep.
     EXPECT_EQ(counters.runs_completed, 8u);
@@ -81,7 +84,10 @@ TEST(ParallelSweep, MatchesSerialReference) {
   SweepConfig sweep;
   sweep.seeds = {3, 4};
   sweep.threads = 8;
-  const auto rows = run_oversubscription_sweep(sweep, job, points);
+  const auto result = run_oversubscription_sweep(sweep, job, points);
+  ASSERT_TRUE(result.failures.empty())
+      << describe_failure(result.failures.front());
+  const auto& rows = result.rows;
 
   // Serial reference, written out longhand.
   ScenarioConfig cfg = sweep.base;
@@ -90,9 +96,9 @@ TEST(ParallelSweep, MatchesSerialReference) {
   double treat_sum = 0.0;
   for (const std::uint64_t seed : sweep.seeds) {
     cfg.seed = seed;
-    cfg.scheduler = sweep.baseline;
+    cfg.scheduler = SchedulerKind::kEcmp;
     base_sum += run_completion_seconds(cfg, job);
-    cfg.scheduler = sweep.treatment;
+    cfg.scheduler = SchedulerKind::kPythia;
     treat_sum += run_completion_seconds(cfg, job);
   }
   ASSERT_EQ(rows.size(), 1u);

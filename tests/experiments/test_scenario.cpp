@@ -150,8 +150,11 @@ TEST(Sweep, PaperPointsAndRows) {
 
   SweepConfig sweep;
   sweep.seeds = {1};
-  const auto rows = run_oversubscription_sweep(
+  const auto result = run_oversubscription_sweep(
       sweep, tiny_job(), {{"none", 1.0}, {"1:10", 10.0}});
+  ASSERT_TRUE(result.failures.empty())
+      << describe_failure(result.failures.front());
+  const auto& rows = result.rows;
   ASSERT_EQ(rows.size(), 2u);
   for (const auto& row : rows) {
     EXPECT_GT(row.baseline_mean_s, 0.0);

@@ -19,8 +19,11 @@ hadoop::JobSpec scaled_sort() {
 TEST(PaperShapes, PythiaBeatsEcmpUnderOversubscription) {
   SweepConfig sweep;
   sweep.seeds = {1, 2};
-  const auto rows = run_oversubscription_sweep(
+  const auto result = run_oversubscription_sweep(
       sweep, scaled_sort(), {{"1:5", 5.0}, {"1:20", 20.0}});
+  ASSERT_TRUE(result.failures.empty())
+      << describe_failure(result.failures.front());
+  const auto& rows = result.rows;
   for (const auto& row : rows) {
     EXPECT_GT(row.speedup(), 0.0) << row.label;
   }
@@ -30,9 +33,11 @@ TEST(PaperShapes, SpeedupGrowsWithOversubscription) {
   // Fig. 3/4: the maximum speedup is at the highest oversubscription ratio.
   SweepConfig sweep;
   sweep.seeds = {1, 2};
-  const auto rows = run_oversubscription_sweep(
-      sweep, scaled_sort(),
-      {{"none", 1.0}, {"1:5", 5.0}, {"1:20", 20.0}});
+  const auto result = run_oversubscription_sweep(
+      sweep, scaled_sort(), {{"none", 1.0}, {"1:5", 5.0}, {"1:20", 20.0}});
+  ASSERT_TRUE(result.failures.empty())
+      << describe_failure(result.failures.front());
+  const auto& rows = result.rows;
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_LT(rows[0].speedup(), rows[2].speedup());
   EXPECT_LT(rows[1].speedup(), rows[2].speedup());
@@ -45,8 +50,11 @@ TEST(PaperShapes, PythiaStaysNearCleanNetworkTime) {
   // ratio (it keeps finding the lightly loaded path).
   SweepConfig sweep;
   sweep.seeds = {1, 2};
-  const auto rows = run_oversubscription_sweep(
+  const auto result = run_oversubscription_sweep(
       sweep, scaled_sort(), {{"none", 1.0}, {"1:20", 20.0}});
+  ASSERT_TRUE(result.failures.empty())
+      << describe_failure(result.failures.front());
+  const auto& rows = result.rows;
   const double clean = rows[0].treatment_mean_s;
   const double loaded = rows[1].treatment_mean_s;
   EXPECT_LT(loaded, clean * 1.35);
