@@ -80,21 +80,40 @@ BENCHMARK(BM_YenKShortestPaths)->Arg(2)->Arg(4)->Arg(8);
 
 // A fresh graph queried on every host pair: the whole-table cost a topology
 // change can impose once every pair is in use again.
-void BM_RoutingGraphRebuild(benchmark::State& state) {
-  net::TwoRackConfig cfg;
-  cfg.servers_per_rack = static_cast<std::size_t>(state.range(0));
-  const net::Topology topo = net::make_two_rack(cfg);
+void query_every_pair(benchmark::State& state, const net::Topology& topo,
+                      std::size_t k) {
   const auto hosts = topo.hosts();
   for (auto _ : state) {
-    const net::RoutingGraph routing(topo, 2);
+    const net::RoutingGraph routing(topo, k);
     for (net::NodeId a : hosts) {
       for (net::NodeId b : hosts) {
         if (a != b) benchmark::DoNotOptimize(routing.paths(a, b).size());
       }
     }
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(hosts.size()) *
+                          static_cast<std::int64_t>(hosts.size() - 1));
+}
+
+void BM_RoutingGraphRebuild(benchmark::State& state) {
+  net::TwoRackConfig cfg;
+  cfg.servers_per_rack = static_cast<std::size_t>(state.range(0));
+  query_every_pair(state, net::make_two_rack(cfg), 2);
 }
 BENCHMARK(BM_RoutingGraphRebuild)->Arg(5)->Arg(10)->Arg(20);
+
+// The nutch-leafspine-flap routing graph (16 racks x 8 servers, 4 spines,
+// k = 4), where lazy first-touch Yen dominates a run's event time; items/s
+// is cold pairs per second.
+void BM_RoutingGraphRebuildLeafSpine16x8(benchmark::State& state) {
+  query_every_pair(
+      state,
+      net::make_leaf_spine(
+          {.racks = 16, .servers_per_rack = 8, .spines = 4}),
+      4);
+}
+BENCHMARK(BM_RoutingGraphRebuildLeafSpine16x8)->Unit(benchmark::kMillisecond);
 
 void BM_EcmpHash(benchmark::State& state) {
   std::uint64_t acc = 0;

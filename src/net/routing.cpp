@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 
 #include "sim/snapshot.hpp"
 
@@ -10,33 +9,33 @@ namespace pythia::net {
 
 namespace {
 
-/// Dijkstra state entry; ordering makes the search deterministic: fewer hops
-/// first, then smaller node id.
-struct QueueEntry {
-  std::size_t dist;
-  NodeId node;
-  friend bool operator>(const QueueEntry& a, const QueueEntry& b) {
-    if (a.dist != b.dist) return a.dist > b.dist;
-    return a.node.value() > b.node.value();
-  }
-};
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+/// One FNV-1a step over a link id.
+std::uint64_t fnv_step(std::uint64_t h, LinkId l) {
+  return (h ^ l.value()) * 1099511628211ull;
+}
 
 /// FNV-1a over a link-id sequence; collisions are resolved by full sequence
 /// equality wherever this is used.
-std::uint64_t link_seq_hash(const std::vector<LinkId>& links) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (LinkId l : links) {
-    h ^= l.value();
-    h *= 1099511628211ull;
-  }
+std::uint64_t link_seq_hash(std::span<const LinkId> links) {
+  std::uint64_t h = kFnvBasis;
+  for (LinkId l : links) h = fnv_step(h, l);
   return h;
 }
 
-struct LinkSeqHash {
-  std::size_t operator()(const std::vector<LinkId>& links) const noexcept {
-    return static_cast<std::size_t>(link_seq_hash(links));
+/// Advances an epoch stamp. On wrap-around every mark below `keep` is
+/// cleared first, so no stale mark can alias a reused epoch value.
+void advance_epoch(std::uint32_t& epoch, std::vector<std::uint32_t>& marks,
+                   std::uint32_t keep) {
+  if (++epoch < keep) return;
+  for (std::uint32_t& m : marks) {
+    if (m < keep) m = 0;
   }
-};
+  epoch = 1;
+}
+
+constexpr std::uint32_t kNoKeep = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
@@ -44,133 +43,250 @@ std::optional<Path> shortest_path(
     const Topology& topo, NodeId src, NodeId dst,
     const std::unordered_set<LinkId>& banned_links,
     const std::unordered_set<NodeId>& banned_nodes) {
-  assert(src.valid() && dst.valid());
-  if (src == dst) return Path{};
-  if (banned_nodes.contains(src) || banned_nodes.contains(dst)) {
-    return std::nullopt;
-  }
-
-  constexpr std::size_t kInf = SIZE_MAX;
-  std::vector<std::size_t> dist(topo.node_count(), kInf);
-  std::vector<LinkId> parent_link(topo.node_count());
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      frontier;
-  dist[src.value()] = 0;
-  frontier.push(QueueEntry{0, src});
-
-  while (!frontier.empty()) {
-    const auto [d, u] = frontier.top();
-    frontier.pop();
-    if (d > dist[u.value()]) continue;
-    if (u == dst) break;
-    for (LinkId l : topo.out_links(u)) {
-      if (banned_links.contains(l)) continue;
-      const Link& link = topo.link(l);
-      if (banned_nodes.contains(link.dst)) continue;
-      const std::size_t nd = d + 1;
-      // Strict < keeps the first (smallest link id, since out_links is in
-      // insertion order and we expand in id order) equal-length parent.
-      if (nd < dist[link.dst.value()]) {
-        dist[link.dst.value()] = nd;
-        parent_link[link.dst.value()] = l;
-        frontier.push(QueueEntry{nd, link.dst});
-      }
-    }
-  }
-
-  if (dist[dst.value()] == kInf) return std::nullopt;
-  Path path;
-  for (NodeId cursor = dst; cursor != src;) {
-    const LinkId l = parent_link[cursor.value()];
-    path.links.push_back(l);
-    cursor = topo.link(l).src;
-  }
-  std::reverse(path.links.begin(), path.links.end());
-  return path;
+  PathSearch search(topo);
+  search.set_banned_links(banned_links);
+  return search.shortest_path(src, dst, banned_nodes);
 }
 
 std::vector<Path> k_shortest_paths(
     const Topology& topo, NodeId src, NodeId dst, std::size_t k,
     const std::unordered_set<LinkId>& banned_links) {
-  std::vector<Path> result;
-  if (k == 0) return result;
-  auto first = shortest_path(topo, src, dst, banned_links);
-  if (!first) return result;
-  result.push_back(std::move(*first));
-
-  // Candidate pool ordered by (hops, link-id sequence) for determinism.
-  auto path_less = [](const Path& a, const Path& b) {
-    if (a.hops() != b.hops()) return a.hops() < b.hops();
-    return std::lexicographical_compare(
-        a.links.begin(), a.links.end(), b.links.begin(), b.links.end(),
-        [](LinkId x, LinkId y) { return x.value() < y.value(); });
-  };
-  std::vector<Path> candidates;
-  // Link sequences already in result or candidates — replaces the quadratic
-  // std::find scans over both containers with one hashed lookup.
-  std::unordered_set<std::vector<LinkId>, LinkSeqHash> seen;
-  seen.insert(result.front().links);
-
-  // One scratch banned set shared by every spur computation instead of a
-  // fresh copy of banned_links per spur; spur-specific insertions are rolled
-  // back after each shortest_path call.
-  std::unordered_set<LinkId> spur_banned = banned_links;
-  std::vector<LinkId> spur_added;
-
-  while (result.size() < k) {
-    const Path& prev = result.back();
-    // Spur from every prefix of the previous path. The banned-node set grows
-    // with the prefix (root nodes except the spur node stay banned), so it
-    // is built incrementally instead of from scratch per spur.
-    std::unordered_set<NodeId> banned_nodes;
-    NodeId spur_node = src;
-    for (std::size_t i = 0; i < prev.links.size(); ++i) {
-      if (i > 0) {
-        banned_nodes.insert(spur_node);
-        spur_node = topo.link(prev.links[i - 1]).dst;
-      }
-      const auto root_begin = prev.links.begin();
-      const auto root_end = root_begin + static_cast<std::ptrdiff_t>(i);
-      spur_added.clear();
-      for (const Path& p : result) {
-        if (p.links.size() > i && std::equal(root_begin, root_end,
-                                             p.links.begin())) {
-          if (spur_banned.insert(p.links[i]).second) {
-            spur_added.push_back(p.links[i]);
-          }
-        }
-      }
-
-      auto spur = shortest_path(topo, spur_node, dst, spur_banned,
-                                banned_nodes);
-      for (LinkId l : spur_added) spur_banned.erase(l);
-      if (!spur) continue;
-      Path total;
-      total.links.reserve(i + spur->links.size());
-      total.links.insert(total.links.end(), root_begin, root_end);
-      total.links.insert(total.links.end(), spur->links.begin(),
-                         spur->links.end());
-      if (!seen.insert(total.links).second) continue;
-      candidates.push_back(std::move(total));
-    }
-    if (candidates.empty()) break;
-    auto best = std::min_element(candidates.begin(), candidates.end(),
-                                 path_less);
-    result.push_back(std::move(*best));
-    candidates.erase(best);
+  PathSearch search(topo);
+  search.set_banned_links(banned_links);
+  const std::size_t n = search.k_shortest_paths(src, dst, k);
+  std::vector<Path> result(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto links = search.path(i);
+    result[i].links.assign(links.begin(), links.end());
   }
   return result;
 }
 
-PathId PathPool::intern(Path path) {
-  const std::uint64_t h = link_seq_hash(path.links);
-  auto& bucket = index_[h];
+PathSearch::PathSearch(const Topology& topo) : topo_(&topo) {
+  const std::size_t nodes = topo.node_count();
+  first_out_.reserve(nodes + 1);
+  out_link_.reserve(topo.link_count());
+  out_head_.reserve(topo.link_count());
+  for (std::size_t n = 0; n < nodes; ++n) {
+    first_out_.push_back(static_cast<std::uint32_t>(out_link_.size()));
+    for (LinkId l : topo.out_links(NodeId{static_cast<std::uint32_t>(n)})) {
+      out_link_.push_back(l.value());
+      out_head_.push_back(topo.link(l).dst.value());
+    }
+  }
+  first_out_.push_back(static_cast<std::uint32_t>(out_link_.size()));
+
+  // In-links by counting sort on the head node (only their presence is
+  // used, so their order within a node does not matter).
+  first_in_.assign(nodes + 1, 0);
+  for (const Link& link : topo.links()) ++first_in_[link.dst.value() + 1];
+  for (std::size_t n = 0; n < nodes; ++n) first_in_[n + 1] += first_in_[n];
+  in_link_.resize(topo.link_count());
+  std::vector<std::uint32_t> fill(first_in_.begin(), first_in_.end() - 1);
+  for (const Link& link : topo.links()) {
+    in_link_[fill[link.dst.value()]++] = link.id.value();
+  }
+
+  link_ban_.assign(topo.link_count(), 0);
+  node_ban_.assign(nodes, 0);
+  visit_.assign(nodes, 0);
+  parent_link_.assign(nodes, 0);
+}
+
+void PathSearch::set_banned_links(
+    const std::unordered_set<LinkId>& banned_links) {
+  std::fill(link_ban_.begin(), link_ban_.end(), 0);
+  // pythia-lint: allow(unordered-iter) order-independent mask writes
+  for (LinkId l : banned_links) {
+    assert(l.value() < link_ban_.size() && "banned link not in topology");
+    link_ban_[l.value()] = kBannedLink;
+  }
+}
+
+void PathSearch::next_spur_epoch() {
+  advance_epoch(spur_epoch_, link_ban_, kBannedLink);
+}
+
+bool PathSearch::search(std::uint32_t from, std::uint32_t to) {
+  spur_.clear();
+  if (node_ban_[from] == root_epoch_ || node_ban_[to] == root_epoch_) {
+    return false;
+  }
+  // Early out: `to` is unreachable when every link into it is banned or
+  // leaves a banned node — typically the last spur of a Yen round, whose
+  // only way into a host is a banned access link. Without this the BFS
+  // would sweep the whole reachable graph to find that out.
+  bool enterable = false;
+  for (std::uint32_t e = first_in_[to]; e < first_in_[to + 1]; ++e) {
+    const std::uint32_t l = in_link_[e];
+    if (link_ban_[l] >= spur_epoch_) continue;
+    if (node_ban_[topo_->link(LinkId{l}).src.value()] == root_epoch_) {
+      continue;
+    }
+    enterable = true;
+    break;
+  }
+  if (!enterable) return false;
+
+  advance_epoch(visit_epoch_, visit_, kNoKeep);
+  visit_[from] = visit_epoch_;
+  level_.assign(1, from);
+  while (!level_.empty()) {
+    // Ascending node id within a level = the Dijkstra pop order (see the
+    // header comment); the first discovery fixes a node's parent.
+    std::sort(level_.begin(), level_.end());
+    next_level_.clear();
+    for (const std::uint32_t u : level_) {
+      for (std::uint32_t e = first_out_[u]; e < first_out_[u + 1]; ++e) {
+        const std::uint32_t l = out_link_[e];
+        const std::uint32_t v = out_head_[e];
+        if (link_ban_[l] >= spur_epoch_ || visit_[v] == visit_epoch_ ||
+            node_ban_[v] == root_epoch_) {
+          continue;
+        }
+        visit_[v] = visit_epoch_;
+        parent_link_[v] = l;
+        if (v == to) {
+          // `to`'s parent chain is final: every node on it was discovered
+          // on an earlier level.
+          for (std::uint32_t n = to; n != from;) {
+            const LinkId via{parent_link_[n]};
+            spur_.push_back(via);
+            n = topo_->link(via).src.value();
+          }
+          return true;
+        }
+        next_level_.push_back(v);
+      }
+    }
+    std::swap(level_, next_level_);
+  }
+  return false;
+}
+
+std::optional<Path> PathSearch::shortest_path(
+    NodeId src, NodeId dst, const std::unordered_set<NodeId>& banned_nodes) {
+  assert(src.valid() && dst.valid());
+  if (src == dst) return Path{};
+  advance_epoch(root_epoch_, node_ban_, kNoKeep);
+  // pythia-lint: allow(unordered-iter) order-independent mask writes
+  for (NodeId n : banned_nodes) node_ban_[n.value()] = root_epoch_;
+  next_spur_epoch();
+  if (!search(src.value(), dst.value())) return std::nullopt;
+  Path path;
+  path.links.assign(spur_.rbegin(), spur_.rend());
+  return path;
+}
+
+bool PathSearch::seen_before(std::uint64_t hash, std::uint32_t root,
+                             std::uint32_t i) const {
+  const auto len = static_cast<std::uint32_t>(i + spur_.size());
+  for (const Span& s : spans_) {
+    if (s.hash != hash || s.len != len) continue;
+    const LinkId* p = arena_.data() + s.begin;
+    if (std::equal(p, p + i, arena_.data() + root) &&
+        std::equal(p + i, p + len, spur_.rbegin())) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool PathSearch::path_less(std::uint32_t a, std::uint32_t b) const {
+  const Span& x = spans_[a];
+  const Span& y = spans_[b];
+  if (x.len != y.len) return x.len < y.len;
+  return std::lexicographical_compare(
+      arena_.data() + x.begin, arena_.data() + x.begin + x.len,
+      arena_.data() + y.begin, arena_.data() + y.begin + y.len,
+      [](LinkId p, LinkId q) { return p.value() < q.value(); });
+}
+
+std::size_t PathSearch::k_shortest_paths(NodeId src, NodeId dst,
+                                         std::size_t k) {
+  arena_.clear();
+  spans_.clear();
+  found_.clear();
+  pending_.clear();
+  if (k == 0) return 0;
+  if (src == dst) {
+    spans_.push_back(Span{0, 0, kFnvBasis});
+    found_.push_back(0);
+    return 1;
+  }
+  advance_epoch(root_epoch_, node_ban_, kNoKeep);
+  next_spur_epoch();
+  if (!search(src.value(), dst.value())) return 0;
+  arena_.assign(spur_.rbegin(), spur_.rend());
+  spans_.push_back(Span{0, static_cast<std::uint32_t>(arena_.size()),
+                        link_seq_hash(arena_)});
+  found_.push_back(0);
+
+  while (found_.size() < k) {
+    // Spur from every prefix (root) of the previous path. Root nodes other
+    // than the spur node stay banned for the whole round, and the results
+    // sharing the root shrink as it grows, so both are kept incrementally.
+    const Span prev = spans_[found_.back()];
+    advance_epoch(root_epoch_, node_ban_, kNoKeep);
+    sharing_.assign(found_.begin(), found_.end());
+    std::uint32_t spur_node = src.value();
+    std::uint64_t root_hash = kFnvBasis;
+    for (std::uint32_t i = 0; i < prev.len; ++i) {
+      if (i > 0) {
+        const LinkId via = arena_[prev.begin + i - 1];
+        node_ban_[spur_node] = root_epoch_;
+        spur_node = topo_->link(via).dst.value();
+        root_hash = fnv_step(root_hash, via);
+        std::erase_if(sharing_, [&](std::uint32_t r) {
+          const Span& p = spans_[r];
+          return p.len < i || arena_[p.begin + i - 1] != via;
+        });
+      }
+      // Each result through this root loses its next link for this spur.
+      next_spur_epoch();
+      for (const std::uint32_t r : sharing_) {
+        const Span& p = spans_[r];
+        if (p.len <= i) continue;
+        std::uint32_t& mark = link_ban_[arena_[p.begin + i].value()];
+        if (mark != kBannedLink) mark = spur_epoch_;
+      }
+      if (!search(spur_node, dst.value())) continue;
+
+      std::uint64_t hash = root_hash;
+      for (auto it = spur_.rbegin(); it != spur_.rend(); ++it) {
+        hash = fnv_step(hash, *it);
+      }
+      if (seen_before(hash, prev.begin, i)) continue;
+      const auto begin = static_cast<std::uint32_t>(arena_.size());
+      arena_.reserve(arena_.size() + i + spur_.size());
+      for (std::uint32_t j = 0; j < i; ++j) {
+        arena_.push_back(arena_[prev.begin + j]);
+      }
+      arena_.insert(arena_.end(), spur_.rbegin(), spur_.rend());
+      pending_.push_back(static_cast<std::uint32_t>(spans_.size()));
+      spans_.push_back(Span{
+          begin, static_cast<std::uint32_t>(arena_.size()) - begin, hash});
+    }
+    if (pending_.empty()) break;
+    // Candidates are distinct link sequences, so (hops, link ids) is a
+    // strict order and the minimum does not depend on pending_'s order.
+    auto best = std::min_element(
+        pending_.begin(), pending_.end(),
+        [this](std::uint32_t a, std::uint32_t b) { return path_less(a, b); });
+    found_.push_back(*best);
+    *best = pending_.back();
+    pending_.pop_back();
+  }
+  return found_.size();
+}
+
+PathId PathPool::intern(std::span<const LinkId> links) {
+  auto& bucket = index_[link_seq_hash(links)];
   for (std::uint32_t id : bucket) {
-    if (paths_[id].links == path.links) return PathId{id};
+    if (std::ranges::equal(paths_[id].links, links)) return PathId{id};
   }
   const auto id = static_cast<std::uint32_t>(paths_.size());
-  paths_.push_back(std::move(path));
+  paths_.push_back(Path{{links.begin(), links.end()}});
   bucket.push_back(id);
   return PathId{id};
 }
@@ -183,7 +299,7 @@ std::vector<Path> PathSet::materialize() const {
 }
 
 RoutingGraph::RoutingGraph(const Topology& topo, std::size_t k, BuildMode)
-    : topo_(&topo), k_(k), hosts_(topo.hosts()) {
+    : topo_(&topo), k_(k), hosts_(topo.hosts()), search_(topo) {
   host_slot_.assign(topo.node_count(), kNotHost);
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     host_slot_[hosts_[i].value()] = static_cast<std::uint32_t>(i);
@@ -203,6 +319,7 @@ void RoutingGraph::rebuild(const std::unordered_set<LinkId>& banned_links) {
   }
   clear_table();
   banned_ = banned_links;
+  search_.set_banned_links(banned_);
 }
 
 void RoutingGraph::clear_table() {
@@ -218,11 +335,13 @@ void RoutingGraph::clear_table() {
 void RoutingGraph::ensure_pair(std::size_t slot) const {
   if (materialized_[slot] != 0 || diagonal(slot)) return;
   const std::size_t H = hosts_.size();
-  std::vector<Path> found =
-      k_shortest_paths(*topo_, hosts_[slot / H], hosts_[slot % H], k_, banned_);
+  const std::size_t found =
+      search_.k_shortest_paths(hosts_[slot / H], hosts_[slot % H], k_);
   auto& ids = table_[slot];
-  ids.reserve(found.size());
-  for (Path& p : found) ids.push_back(pool_.intern(std::move(p)));
+  ids.reserve(found);
+  for (std::size_t i = 0; i < found; ++i) {
+    ids.push_back(pool_.intern(search_.path(i)));
+  }
   materialized_[slot] = 1;
   ++materialized_count_;
   ++counters_.pairs_recomputed;

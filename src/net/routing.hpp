@@ -1,6 +1,21 @@
-// Multi-path routing: hop-count Dijkstra, Yen's k-shortest paths, and the
+// Multi-path routing: Yen's k-shortest paths by hop count, and the
 // RoutingGraph cache the controller keeps per host pair (paper §IV: paths
 // are recomputed only on topology-change events — off the data path).
+//
+// Every search runs in one PathSearch engine per graph: a CSR copy of the
+// adjacency plus scratch (epoch-stamped visit marks and parents, link and
+// node ban stamps, a flat path arena) reused across spur searches and
+// pairs, so a Yen run allocates and hashes nothing in its inner loops. Each
+// spur search is a level-synchronous unit-weight BFS that sorts every level
+// by node id before expanding it and records a node's parent on first
+// discovery. That is exactly the (hops, node id) pop order of a
+// priority-queue Dijkstra with strict-< relaxation: on unit weights every
+// node of level d is queued before any of them pops, so the queue pops a
+// whole level in ascending id, and a node keeps the parent from its first
+// relaxation — the first-expanded predecessor, via that node's first link
+// in out_links (insertion) order. Paths therefore come out link for link as
+// from that Dijkstra (tests/net/routing_oracle.hpp keeps a frozen copy of it
+// as the oracle).
 //
 // Paths are interned in a PathPool: the graph stores PathId handles instead
 // of link-vector copies, and the control plane (controller/allocator) passes
@@ -21,6 +36,7 @@
 #include <iterator>
 #include <limits>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -44,7 +60,8 @@ struct Path {
 
 /// Shortest path by hop count with deterministic tie-breaking (smaller link
 /// ids win). `banned_links` / `banned_nodes` support Yen's spur computation
-/// and failure simulation. Returns nullopt when disconnected.
+/// and failure simulation. Returns nullopt when disconnected. A one-shot
+/// PathSearch; callers with many queries keep an engine instead.
 std::optional<Path> shortest_path(
     const Topology& topo, NodeId src, NodeId dst,
     const std::unordered_set<LinkId>& banned_links = {},
@@ -52,10 +69,91 @@ std::optional<Path> shortest_path(
 
 /// Yen's algorithm: up to `k` loop-free shortest paths in nondecreasing
 /// hop-count order (deterministic ordering among equal-length paths).
-/// `banned_links` are excluded entirely (failed links).
+/// `banned_links` are excluded entirely (failed links). A one-shot
+/// PathSearch; callers with many queries keep an engine instead.
 std::vector<Path> k_shortest_paths(
     const Topology& topo, NodeId src, NodeId dst, std::size_t k,
     const std::unordered_set<LinkId>& banned_links = {});
+
+/// The search engine behind every routing query on one fixed topology (see
+/// the file comment for the BFS tie-break argument). Holds a CSR adjacency
+/// built once, the caller's banned links as a mask, and scratch reused
+/// across searches: nothing in a spur search allocates or hashes.
+class PathSearch {
+ public:
+  /// `topo` must outlive the engine and never change.
+  explicit PathSearch(const Topology& topo);
+
+  /// Replaces the banned (failed) link set every later search avoids.
+  void set_banned_links(const std::unordered_set<LinkId>& banned_links);
+
+  /// Shortest path avoiding the banned links and `banned_nodes`.
+  std::optional<Path> shortest_path(
+      NodeId src, NodeId dst, const std::unordered_set<NodeId>& banned_nodes);
+
+  /// Runs Yen for (src, dst, k) and returns how many paths it found; read
+  /// them with path(i), valid until the next search.
+  std::size_t k_shortest_paths(NodeId src, NodeId dst, std::size_t k);
+  [[nodiscard]] std::span<const LinkId> path(std::size_t i) const {
+    const Span& s = spans_[found_[i]];
+    return {arena_.data() + s.begin, s.len};
+  }
+
+ private:
+  /// Link-ban stamp of the caller's banned set; spur epochs stay below it.
+  static constexpr std::uint32_t kBannedLink =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// One path in arena_: links [begin, begin + len), FNV-1a hash.
+  struct Span {
+    std::uint32_t begin;
+    std::uint32_t len;
+    std::uint64_t hash;
+  };
+
+  /// BFS from `from` to `to` under the current link and node bans; on
+  /// success spur_ holds the path's links last to first.
+  bool search(std::uint32_t from, std::uint32_t to);
+  /// Starts a fresh spur (no spur-banned links).
+  void next_spur_epoch();
+  /// True iff the path root (i links of arena_ at `root`) + reversed spur_
+  /// equals an earlier path of this run (results and candidates alike).
+  [[nodiscard]] bool seen_before(std::uint64_t hash, std::uint32_t root,
+                                 std::uint32_t i) const;
+  [[nodiscard]] bool path_less(std::uint32_t a, std::uint32_t b) const;
+
+  const Topology* topo_;
+  // CSR adjacency: node n's out-links (in out_links order) and their head
+  // nodes at [first_out_[n], first_out_[n + 1]); in-links the same way.
+  std::vector<std::uint32_t> first_out_;
+  std::vector<std::uint32_t> out_link_;
+  std::vector<std::uint32_t> out_head_;
+  std::vector<std::uint32_t> first_in_;
+  std::vector<std::uint32_t> in_link_;
+  // Link l is banned iff link_ban_[l] >= spur_epoch_: kBannedLink for the
+  // caller's set, spur_epoch_ for the links the current spur excludes.
+  std::vector<std::uint32_t> link_ban_;
+  std::uint32_t spur_epoch_ = 1;
+  // Node n is a banned root node iff node_ban_[n] == root_epoch_.
+  std::vector<std::uint32_t> node_ban_;
+  std::uint32_t root_epoch_ = 1;
+  // Node n was discovered by the current BFS iff visit_[n] == visit_epoch_;
+  // parent_link_[n] is then its discovering link.
+  std::vector<std::uint32_t> visit_;
+  std::vector<std::uint32_t> parent_link_;
+  std::uint32_t visit_epoch_ = 1;
+  std::vector<std::uint32_t> level_;
+  std::vector<std::uint32_t> next_level_;
+  std::vector<LinkId> spur_;
+  // Paths of the current Yen run: results (found_, in order) and pending
+  // candidates, all stored once in arena_.
+  std::vector<LinkId> arena_;
+  std::vector<Span> spans_;
+  std::vector<std::uint32_t> found_;
+  std::vector<std::uint32_t> pending_;
+  // Results that share the current spur's root with the previous path.
+  std::vector<std::uint32_t> sharing_;
+};
 
 /// Append-only intern table for paths. Interning the same link sequence
 /// twice yields the same PathId, and `path(id)` references are stable for
@@ -63,7 +161,8 @@ std::vector<Path> k_shortest_paths(
 /// control plane can hold `const Path*` across rebuilds.
 class PathPool {
  public:
-  PathId intern(Path path);
+  PathId intern(std::span<const LinkId> links);
+  PathId intern(const Path& path) { return intern(std::span(path.links)); }
 
   [[nodiscard]] const Path& path(PathId id) const {
     assert(id.valid() && id.value() < paths_.size());
@@ -202,7 +301,7 @@ class RoutingGraph {
 
   /// Interns an externally built path (e.g. composed rack chains) into the
   /// shared pool so the rest of the control plane can pass ids around.
-  PathId intern(Path path) { return pool_.intern(std::move(path)); }
+  PathId intern(const Path& path) { return pool_.intern(path); }
   [[nodiscard]] const Path& path(PathId id) const { return pool_.path(id); }
 
   /// Excludes `banned_links` (failed links) from every path from now on —
@@ -276,6 +375,9 @@ class RoutingGraph {
   mutable std::vector<char> materialized_;
   mutable std::size_t materialized_count_ = 0;
   mutable RoutingCounters counters_;
+  // pythia-lint: allow(snapshot-skip) search scratch: CSR of the topology
+  // plus the banned set as a mask, both rebuilt from topo_ and banned_
+  mutable PathSearch search_;
 };
 
 }  // namespace pythia::net

@@ -245,7 +245,7 @@ bool Controller::install_path(net::NodeId src_host, net::NodeId dst_host,
   // Interning is idempotent: a path already known to the pool (the common
   // case — candidates come from the routing table) resolves to its id
   // without copying.
-  return install_path_id(src_host, dst_host, routing_.intern(std::move(path)),
+  return install_path_id(src_host, dst_host, routing_.intern(path),
                          volume_hint);
 }
 
@@ -434,9 +434,34 @@ std::optional<net::LinkId> duplex_peer(const net::Topology& topo,
 }  // namespace
 
 void Controller::handle_link_failure(net::LinkId l) {
+  fail_links({&l, 1});
+  PYTHIA_LOG(kInfo, "sdn") << "link " << l.value()
+                           << " failed; routing graph rebuilt";
+}
+
+void Controller::handle_link_restore(net::LinkId l) { restore_links({&l, 1}); }
+
+void Controller::handle_switch_failure(net::NodeId switch_node) {
+  assert(topo_->node(switch_node).kind == net::NodeKind::kSwitch);
+  // Every egress link dies; the duplex pairing takes each ingress twin down.
+  fail_links(topo_->out_links(switch_node));
+  PYTHIA_LOG(kInfo, "sdn") << "switch " << switch_node.value()
+                           << " failed; routing graph rebuilt";
+}
+
+void Controller::handle_switch_restore(net::NodeId switch_node) {
+  assert(topo_->node(switch_node).kind == net::NodeKind::kSwitch);
+  restore_links(topo_->out_links(switch_node));
+}
+
+void Controller::fail_links(std::span<const net::LinkId> links) {
   // A cable failure takes both directions down.
-  std::vector<net::LinkId> down{l};
-  if (const auto peer = duplex_peer(*topo_, l)) down.push_back(*peer);
+  std::vector<net::LinkId> down;
+  down.reserve(2 * links.size());
+  for (net::LinkId l : links) {
+    down.push_back(l);
+    if (const auto peer = duplex_peer(*topo_, l)) down.push_back(*peer);
+  }
 
   for (net::LinkId d : down) {
     if (!failed_links_.insert(d).second) continue;
@@ -481,35 +506,18 @@ void Controller::handle_link_failure(net::LinkId l) {
       fabric_->reroute_flow(fid, p.links);
     }
   }
-  PYTHIA_LOG(kInfo, "sdn") << "link " << l.value()
-                           << " failed; routing graph rebuilt";
 }
 
-void Controller::handle_switch_failure(net::NodeId switch_node) {
-  assert(topo_->node(switch_node).kind == net::NodeKind::kSwitch);
-  // Every adjacent link dies; handle_link_failure on each egress also takes
-  // the ingress twin down via the duplex pairing.
-  for (net::LinkId l : topo_->out_links(switch_node)) {
-    handle_link_failure(l);
-  }
-}
-
-void Controller::handle_switch_restore(net::NodeId switch_node) {
-  assert(topo_->node(switch_node).kind == net::NodeKind::kSwitch);
-  for (net::LinkId l : topo_->out_links(switch_node)) {
-    handle_link_restore(l);
-  }
-}
-
-void Controller::handle_link_restore(net::LinkId l) {
-  std::vector<net::LinkId> up{l};
-  if (const auto peer = duplex_peer(*topo_, l)) up.push_back(*peer);
+void Controller::restore_links(std::span<const net::LinkId> links) {
   bool changed = false;
-  for (net::LinkId u : up) {
-    if (failed_links_.erase(u) > 0) {
-      fabric_->restore_link(u);
-      changed = true;
-    }
+  const auto bring_up = [&](net::LinkId u) {
+    if (failed_links_.erase(u) == 0) return;
+    fabric_->restore_link(u);
+    changed = true;
+  };
+  for (net::LinkId l : links) {
+    bring_up(l);
+    if (const auto peer = duplex_peer(*topo_, l)) bring_up(*peer);
   }
   if (changed) {
     routing_.rebuild(failed_links_);

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -146,7 +147,7 @@ class Controller {
   /// Interns an externally composed path (e.g. a rack chain with access
   /// links) into the routing pool so it can be passed by id.
   [[nodiscard]] net::PathId intern_path(net::Path path) {
-    return routing_.intern(std::move(path));
+    return routing_.intern(path);
   }
   /// Resolves an interned id to its path (stable reference).
   [[nodiscard]] const net::Path& path(net::PathId id) const {
@@ -190,9 +191,10 @@ class Controller {
   void handle_link_failure(net::LinkId l);
   /// Reverts a failure: restores the links and rebuilds the routing graph.
   void handle_link_restore(net::LinkId l);
-  /// Whole-switch failure: every link touching the switch goes down.
+  /// Whole-switch failure: every link touching the switch goes down in one
+  /// topology update (one routing rebuild, one rule purge, one reroute).
   void handle_switch_failure(net::NodeId switch_node);
-  /// Reverts a switch failure.
+  /// Reverts a switch failure with one routing rebuild.
   void handle_switch_restore(net::NodeId switch_node);
   [[nodiscard]] const std::unordered_set<net::LinkId>& failed_links() const {
     return failed_links_;
@@ -275,6 +277,14 @@ class Controller {
   }
   void refresh_snapshot_if_stale() const;
   void activate_rule(std::uint64_t key, std::uint64_t epoch);
+  /// Takes `links` and their duplex peers down in one topology update:
+  /// fails them in the fabric, rebuilds routing once, purges the rules that
+  /// cross a failed link, and reroutes the flows stranded on them against
+  /// the final banned set.
+  void fail_links(std::span<const net::LinkId> links);
+  /// Brings `links` and their duplex peers back up; rebuilds routing once
+  /// if any of them was down.
+  void restore_links(std::span<const net::LinkId> links);
 
   // pythia-lint: allow(snapshot-skip, group) wiring and config identity,
   // re-created from the fingerprinted scenario; routing_ snapshots itself

@@ -2,6 +2,9 @@
 // claims fault tolerance through routing-graph updates on failure events).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "experiments/scenario.hpp"
 #include "sdn/controller.hpp"
 #include "sim/simulation.hpp"
@@ -116,6 +119,55 @@ TEST(Failover, SwitchFailureKillsAllItsPaths) {
   f.controller.handle_switch_restore(wire);
   EXPECT_TRUE(f.controller.failed_links().empty());
   EXPECT_EQ(f.controller.routing().paths(f.src, f.dst).size(), 2u);
+}
+
+TEST(Failover, SwitchFailureIsOneTopologyUpdate) {
+  Fixture f;
+  const auto paths = f.controller.routing().paths(f.src, f.dst).materialize();
+  const net::NodeId wire = f.topo.link(paths[0].links[1]).dst;
+  ASSERT_EQ(f.topo.node(wire).kind, net::NodeKind::kSwitch);
+  // Flows pinned across the dying wire switch in both directions, plus one
+  // on the surviving wire.
+  const auto back = f.controller.routing().paths(f.dst, f.src).materialize();
+  const std::vector<std::pair<NodeId, const net::Path*>> pinned{
+      {f.src, &paths[0]}, {f.src, &paths[1]}, {f.dst, &back[0]},
+      {f.dst, &back[1]}};
+  std::uint16_t port = 31000;
+  for (const auto& [from, path] : pinned) {
+    FlowSpec spec;
+    spec.src = from;
+    spec.dst = from == f.src ? f.dst : f.src;
+    spec.size = Bytes{10 * kGB};
+    spec.path = path->links;
+    spec.tuple = FiveTuple{1, 2, 50060, port++, 6};
+    spec.cls = FlowClass::kShuffle;
+    f.fabric.start_flow(spec);
+  }
+
+  const auto expect_no_flow_on_failed_link = [&] {
+    for (net::FlowId fid : f.fabric.active_flows()) {
+      for (LinkId l : f.fabric.flow(fid).spec.path) {
+        EXPECT_FALSE(f.controller.failed_links().contains(l))
+            << "flow " << fid.value() << " still crosses failed link "
+            << l.value();
+      }
+    }
+  };
+
+  const std::uint64_t updates = f.controller.topology_rebuilds();
+  const std::uint64_t rebuilds =
+      f.controller.routing().counters().full_rebuilds;
+  f.controller.handle_switch_failure(wire);
+  EXPECT_EQ(f.controller.failed_links().size(), 4u);
+  EXPECT_EQ(f.controller.topology_rebuilds(), updates + 1);
+  EXPECT_EQ(f.controller.routing().counters().full_rebuilds, rebuilds + 1);
+  EXPECT_EQ(f.fabric.active_flows().size(), pinned.size());
+  expect_no_flow_on_failed_link();
+
+  f.controller.handle_switch_restore(wire);
+  EXPECT_TRUE(f.controller.failed_links().empty());
+  EXPECT_EQ(f.controller.topology_rebuilds(), updates + 2);
+  EXPECT_EQ(f.controller.routing().counters().full_rebuilds, rebuilds + 2);
 }
 
 TEST(Failover, InstallOverFailedLinkIsRefused) {

@@ -96,7 +96,8 @@ std::optional<Config> parse_config(const std::string& text,
         return std::nullopt;
       }
       ++lineno;
-      value += " " + trim(strip_comment(more));
+      value += ' ';
+      value += trim(strip_comment(more));
     }
     const std::string qualified = section.empty() ? key : section + "." + key;
 
