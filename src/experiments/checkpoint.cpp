@@ -101,7 +101,6 @@ void encode_scenario_config(const ScenarioConfig& cfg,
 
   enc.put_u8(static_cast<std::uint8_t>(cfg.scheduler));
   enc.put_bool(cfg.enable_netflow);
-  enc.put_u8(static_cast<std::uint8_t>(cfg.rate_engine));
 }
 
 void encode_job_spec(const hadoop::JobSpec& job, sim::StateEncoder& enc) {

@@ -1,6 +1,7 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -15,13 +16,11 @@ namespace {
 /// sub-byte residue is floating-point noise from rate integration.
 constexpr double kDoneEpsilonBytes = 0.5;
 constexpr std::uint32_t kNoPos = std::numeric_limits<std::uint32_t>::max();
-constexpr std::uint32_t kNoLink = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
-Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
+Fabric::Fabric(sim::Simulation& sim, const Topology& topo)
     : sim_(&sim),
       topo_(&topo),
-      cfg_(cfg),
       link_flows_(topo.link_count()),
       cbr_load_bps_(topo.link_count(), 0.0),
       link_up_(topo.link_count(), 1),
@@ -33,22 +32,8 @@ Fabric::Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg)
       unfixed_count_(topo.link_count(), 0),
       link_rank_(topo.link_count(), 0),
       link_touched_(topo.link_count(), 0),
-      last_settle_(sim.now()) {
-  // Locality groups from the topology, plus one shared core group (last
-  // index) for links whose endpoints straddle groups or carry none.
-  num_groups_ = topo.group_count() + 1;
-  const auto core = static_cast<std::uint32_t>(num_groups_ - 1);
-  link_group_.resize(topo.link_count());
-  group_links_.assign(num_groups_, {});
-  group_flows_.assign(num_groups_, {});
-  group_mark_.assign(num_groups_, 0);
-  for (std::uint32_t l = 0; l < topo.link_count(); ++l) {
-    const std::int32_t g = topo.link_group(LinkId{l});
-    const std::uint32_t idx = g < 0 ? core : static_cast<std::uint32_t>(g);
-    link_group_[l] = idx;
-    group_links_[idx].push_back(l);  // ascending: l ascends
-  }
-}
+      comp_bits_((topo.link_count() + 63) / 64, 0),
+      last_settle_(sim.now()) {}
 
 std::uint32_t Fabric::SpanArena::acquire(std::uint32_t len,
                                          std::uint8_t& bucket) {
@@ -84,9 +69,6 @@ std::uint32_t Fabric::acquire_slot() {
   path_off_.push_back(kNoPos);
   path_len_.push_back(0);
   path_bucket_.push_back(0);
-  groups_off_.push_back(kNoPos);
-  groups_len_.push_back(0);
-  groups_bucket_.push_back(0);
   flow_mark_.push_back(0);
   return slot;
 }
@@ -112,60 +94,6 @@ void Fabric::arena_admit(std::uint32_t slot) {
   path_off_[slot] = off;
   path_len_[slot] = len;
   std::copy(f.spec.path.begin(), f.spec.path.end(), path_pool_.begin() + off);
-
-  // Distinct locality groups the path touches, in first-touch order (a
-  // fat-tree path sees at most src pod + core + dst pod).
-  scratch_groups_.clear();
-  for (std::uint32_t i = 0; i < len; ++i) {
-    const std::uint32_t g = link_group_[path_pool_[off + i].value()];
-    if (std::find(scratch_groups_.begin(), scratch_groups_.end(), g) ==
-        scratch_groups_.end()) {
-      scratch_groups_.push_back(g);
-    }
-  }
-  const auto glen = static_cast<std::uint32_t>(scratch_groups_.size());
-  const std::uint32_t goff = group_arena_.acquire(glen, groups_bucket_[slot]);
-  if (group_id_pool_.size() < group_arena_.size()) {
-    group_id_pool_.resize(group_arena_.size());
-    group_pos_pool_.resize(group_arena_.size());
-  }
-  groups_off_[slot] = goff;
-  groups_len_[slot] = glen;
-  for (std::uint32_t i = 0; i < glen; ++i) {
-    const std::uint32_t g = scratch_groups_[i];
-    group_id_pool_[goff + i] = g;
-    group_pos_pool_[goff + i] =
-        static_cast<std::uint32_t>(group_flows_[g].size());
-    group_flows_[g].push_back(slot);
-  }
-}
-
-void Fabric::unregister_flow_groups(std::uint32_t slot) {
-  const std::uint32_t goff = groups_off_[slot];
-  assert(goff != kNoPos);
-  for (std::uint32_t i = 0; i < groups_len_[slot]; ++i) {
-    const std::uint32_t g = group_id_pool_[goff + i];
-    const std::uint32_t pos = group_pos_pool_[goff + i];
-    auto& list = group_flows_[g];
-    assert(pos < list.size() && list[pos] == slot);
-    const std::uint32_t moved = list.back();
-    list[pos] = moved;
-    list.pop_back();
-    if (moved != slot) {
-      // Fix the moved flow's recorded position for this group (its group
-      // row has at most a handful of entries).
-      const std::uint32_t moff = groups_off_[moved];
-      for (std::uint32_t j = 0; j < groups_len_[moved]; ++j) {
-        if (group_id_pool_[moff + j] == g) {
-          group_pos_pool_[moff + j] = pos;
-          break;
-        }
-      }
-    }
-  }
-  group_arena_.release(goff, groups_bucket_[slot]);
-  groups_off_[slot] = kNoPos;
-  groups_len_[slot] = 0;
 }
 
 void Fabric::free_path_row(std::uint32_t slot) {
@@ -207,15 +135,6 @@ void Fabric::mark_dirty(LinkId l) {
   if (link_dirty_[l.value()]) return;
   link_dirty_[l.value()] = 1;
   dirty_links_.push_back(l.value());
-}
-
-void Fabric::mark_all_dirty() {
-  for (std::uint32_t l = 0; l < link_dirty_.size(); ++l) {
-    if (!link_dirty_[l]) {
-      link_dirty_[l] = 1;
-      dirty_links_.push_back(l);
-    }
-  }
 }
 
 void Fabric::clear_dirty() {
@@ -308,7 +227,6 @@ void Fabric::reroute_flow(FlowId id, std::vector<LinkId> new_path) {
     remove_link_flow(l, id);
     mark_dirty(l);
   }
-  unregister_flow_groups(id.value());
   free_path_row(id.value());
   f.spec.path = std::move(new_path);
   for (LinkId l : f.spec.path) {
@@ -448,15 +366,10 @@ void Fabric::settle() {
 
 void Fabric::recompute_rates() {
   ++counters_.recomputes;
-  if (cfg_.rate_engine == RateEngine::kFullRecompute) {
-    clear_dirty();
-    fill_full();
-    return;
-  }
   if (dirty_links_.empty()) return;  // probe-forced accounting point
-  collect_component_hier();
+  collect_component();
   clear_dirty();
-  fill_component_hier();
+  fill_component();
 }
 
 void Fabric::after_mutation() {
@@ -464,131 +377,85 @@ void Fabric::after_mutation() {
   schedule_next_completion();
 }
 
-void Fabric::fill_full() {
-  // The original O(rounds × links × flows) progressive fill, preserved as
-  // the oracle. Flows are visited in ascending id order at every step so
-  // the floating-point operation sequence matches fill_component_hier()
-  // exactly (the differential tests rely on bit-identical allocations).
-  counters_.links_touched += link_flows_.size();
-  counters_.flows_touched += active_.size();
-  ++counters_.full_fills;
-
-  sorted_active_ = active_;
-  std::sort(sorted_active_.begin(), sorted_active_.end(),
-            [](FlowId a, FlowId b) { return a.value() < b.value(); });
-
-  std::fill(elastic_rate_bps_.begin(), elastic_rate_bps_.end(), 0.0);
-  for (auto& per_class : class_rate_bps_) per_class.fill(0.0);
-  for (std::uint32_t l = 0; l < residual_.size(); ++l) {
-    residual_[l] = elastic_headroom(l);
-    unfixed_weight_[l] = 0.0;
-    unfixed_count_[l] = 0;
-  }
-  for (FlowId id : sorted_active_) {
-    const Flow& f = flows_[id.value()];
-    flow_fixed_[id.value()] = 0;
-    for (LinkId l : f.spec.path) {
-      unfixed_weight_[l.value()] += f.spec.weight;
-      ++unfixed_count_[l.value()];
-    }
-  }
-
-  std::size_t remaining_flows = sorted_active_.size();
-  while (remaining_flows > 0) {
-    double best_share = std::numeric_limits<double>::infinity();
-    std::uint32_t best_link = kNoLink;
-    for (std::uint32_t l = 0; l < residual_.size(); ++l) {
-      if (unfixed_count_[l] == 0) continue;
-      const double share = residual_[l] / std::max(unfixed_weight_[l], 1e-12);
-      if (share < best_share) {
-        best_share = share;
-        best_link = l;
+void Fabric::collect_component() {
+  // Exact flow-connected component of the dirty links: a BFS over the
+  // flow<->link bipartite graph. Any flow crossing a collected link, and any
+  // link such a flow crosses, can see its allocation change; everything
+  // outside the component provably cannot (max-min decomposes exactly over
+  // connected components). Dirty links that carry no flow any more stay in
+  // the component, so the fill zeroes their elastic and class rates.
+  //
+  // Link membership is a bitset; flow membership an epoch stamp. Visiting a
+  // link sums its unfixed weight and count over link_flows_ (ascending flow
+  // id, the oracle's accumulation order), so the fill never walks the index
+  // to initialise. Most (link, flow) entries name a flow already collected,
+  // unpredictably, so flows are queued branch-free: the slot is always
+  // written and the queue length advances only for a fresh one. comp_links_
+  // is the link queue, then the bitset's word-by-word readout: ascending
+  // link order without a comparison sort, which the fill's
+  // first-rank-at-min tie-break needs. Both buffers keep one spare entry
+  // for the branch-free write.
+  ++comp_epoch_;
+  comp_links_.resize(link_flows_.size() + 1);
+  comp_flows_.resize(flows_.size() + 1);
+  std::uint32_t* links = comp_links_.data();
+  std::uint32_t* flows = comp_flows_.data();
+  std::size_t nl = 0;
+  std::size_t nf = 0;
+  std::size_t lo_word = comp_bits_.size();
+  std::size_t hi_word = 0;
+  auto visit = [&](std::uint32_t l) {
+    const std::size_t w = l / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (l % 64);
+    if (comp_bits_[w] & bit) return;
+    comp_bits_[w] |= bit;
+    links[nl++] = l;
+    lo_word = std::min(lo_word, w);
+    hi_word = std::max(hi_word, w);
+  };
+  for (std::uint32_t l : dirty_links_) visit(l);
+  std::size_t link_head = 0;
+  std::size_t flow_head = 0;
+  while (link_head < nl) {
+    for (; link_head < nl; ++link_head) {
+      const std::uint32_t l = links[link_head];
+      double weight = 0.0;
+      for (FlowId fid : link_flows_[l]) {
+        const std::uint32_t slot = fid.value();
+        weight += arena_weight_[slot];
+        const bool fresh = flow_mark_[slot] != comp_epoch_;
+        flow_mark_[slot] = comp_epoch_;
+        flows[nf] = slot;
+        nf += fresh ? 1 : 0;
       }
+      unfixed_weight_[l] = weight;
+      unfixed_count_[l] = static_cast<std::uint32_t>(link_flows_[l].size());
     }
-    assert(best_link != kNoLink);
-    if (best_share < 0.0) best_share = 0.0;
-
-    for (FlowId id : sorted_active_) {
-      const std::uint32_t slot = id.value();
-      if (flow_fixed_[slot]) continue;
-      Flow& f = flows_[slot];
-      const bool crosses =
-          std::any_of(f.spec.path.begin(), f.spec.path.end(),
-                      [best_link](LinkId l) { return l.value() == best_link; });
-      if (!crosses) continue;
-      const double rate = best_share * f.spec.weight;
-      set_rate_hier(slot, rate);
-      flow_fixed_[slot] = 1;
-      --remaining_flows;
-      for (LinkId l : f.spec.path) {
-        residual_[l.value()] = std::max(0.0, residual_[l.value()] - rate);
-        unfixed_weight_[l.value()] =
-            std::max(0.0, unfixed_weight_[l.value()] - f.spec.weight);
-        assert(unfixed_count_[l.value()] > 0);
-        --unfixed_count_[l.value()];
+    for (; flow_head < nf; ++flow_head) {
+      const std::uint32_t slot = flows[flow_head];
+      const LinkId* path = path_pool_.data() + path_off_[slot];
+      for (std::uint32_t i = 0; i < path_len_[slot]; ++i) {
+        visit(path[i].value());
       }
     }
   }
-
-  for (FlowId id : sorted_active_) {
-    const Flow& f = flows_[id.value()];
-    for (LinkId l : f.spec.path) {
-      elastic_rate_bps_[l.value()] += f.rate.bps();
-      class_rate_bps_[l.value()][static_cast<std::size_t>(f.spec.cls)] +=
-          f.rate.bps();
+  comp_flows_.resize(nf);
+  std::size_t n = 0;
+  for (std::size_t w = lo_word; w <= hi_word && w < comp_bits_.size(); ++w) {
+    std::uint64_t bits = comp_bits_[w];
+    comp_bits_[w] = 0;
+    while (bits != 0) {
+      links[n++] = static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+      bits &= bits - 1;
     }
   }
-}
-
-void Fabric::collect_component_hier() {
-  // Group-closure collection: seed with the dirty links' groups, then close
-  // over pod coupling — every flow of a marked group drags in the other
-  // groups its path touches (at most src pod + core + dst pod). Any flow
-  // crossing a touched link, and any link such a flow crosses, can see its
-  // allocation change; everything outside the closure provably cannot. The
-  // result is a superset of the exact flow-by-flow closure: whole groups
-  // enter at once, so links of a closed group that no affected flow crosses
-  // ride along. That is provably harmless to the fill — such links either
-  // carry no flows (unfixed_count 0, skipped every round) or carry flows
-  // that are themselves in the component (membership is group-complete), so
-  // the floating-point operation sequence matches the exact component's,
-  // which matches fill_full()'s.
-  ++hier_epoch_;
-  comp_groups_.clear();
-  comp_links_.clear();
-  comp_flows_.clear();
-  for (std::uint32_t l : dirty_links_) {
-    const std::uint32_t g = link_group_[l];
-    if (group_mark_[g] == hier_epoch_) continue;
-    group_mark_[g] = hier_epoch_;
-    comp_groups_.push_back(g);
-  }
-  for (std::size_t head = 0; head < comp_groups_.size(); ++head) {
-    const std::uint32_t g = comp_groups_[head];
-    for (std::uint32_t slot : group_flows_[g]) {
-      if (flow_mark_[slot] == hier_epoch_) continue;
-      flow_mark_[slot] = hier_epoch_;
-      comp_flows_.push_back(slot);
-      const std::uint32_t goff = groups_off_[slot];
-      for (std::uint32_t i = 0; i < groups_len_[slot]; ++i) {
-        const std::uint32_t g2 = group_id_pool_[goff + i];
-        if (group_mark_[g2] == hier_epoch_) continue;
-        group_mark_[g2] = hier_epoch_;
-        comp_groups_.push_back(g2);
-      }
-    }
-  }
-  for (std::uint32_t g : comp_groups_) {
-    comp_links_.insert(comp_links_.end(), group_links_[g].begin(),
-                       group_links_[g].end());
-  }
-  std::sort(comp_links_.begin(), comp_links_.end());
+  comp_links_.resize(n);
   counters_.links_touched += comp_links_.size();
   counters_.flows_touched += comp_flows_.size();
   if (comp_links_.size() == link_flows_.size()) ++counters_.full_fills;
 }
 
-void Fabric::fill_component_hier() {
+void Fabric::fill_component() {
   // Weighted progressive filling over the collected component: repeatedly
   // saturate the link with the smallest fair share per unit weight, freeze
   // its flows at weight x share, and subtract them everywhere. Weight 1 on
@@ -598,9 +465,10 @@ void Fabric::fill_component_hier() {
   // array. Links that empty out are parked at +inf, so the scan is a pure
   // branch-free min over contiguous doubles — the compiler vectorizes it —
   // and a second pass recovers the first rank holding the min, which is
-  // exactly the link fill_full()'s strict `share < best` scan would pick
-  // (ranks follow comp_links_ order). Every share that feeds arithmetic is
-  // still residual / max(weight, 1e-12), so allocations stay bit-identical.
+  // exactly the link a strict `share < best` scan over ascending link ids
+  // would pick (ranks follow comp_links_ order). Every share that feeds
+  // arithmetic is still residual / max(weight, 1e-12), so allocations stay
+  // bit-identical to the whole-fabric fill in tests/net/fabric_oracle.hpp.
   const std::size_t n = comp_links_.size();
   share_dense_.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
@@ -609,16 +477,10 @@ void Fabric::fill_component_hier() {
     elastic_rate_bps_[l] = 0.0;
     class_rate_bps_[l].fill(0.0);
     residual_[l] = elastic_headroom(l);
-    double weight = 0.0;
-    std::uint32_t count = 0;
-    for (FlowId fid : link_flows_[l]) {
-      weight += arena_weight_[fid.value()];
-      ++count;
-    }
-    unfixed_weight_[l] = weight;
-    unfixed_count_[l] = count;
-    share_dense_[r] = count == 0 ? std::numeric_limits<double>::infinity()
-                                 : residual_[l] / std::max(weight, 1e-12);
+    share_dense_[r] =
+        unfixed_count_[l] == 0
+            ? std::numeric_limits<double>::infinity()
+            : residual_[l] / std::max(unfixed_weight_[l], 1e-12);
   }
   for (std::uint32_t slot : comp_flows_) flow_fixed_[slot] = 0;
 
@@ -629,7 +491,7 @@ void Fabric::fill_component_hier() {
     // commutative here (no NaNs, and shares are never negative zero, so
     // evaluation order cannot change the value) — four independent chains
     // hide the minsd latency. Pass 2: first rank at the min, which is the
-    // link the legacy strict `share < best` scan would pick (ranks follow
+    // link a strict `share < best` scan would pick (ranks follow
     // comp_links_ order).
     const double* shares = share_dense_.data();
     double m0 = std::numeric_limits<double>::infinity();
@@ -652,13 +514,13 @@ void Fabric::fill_component_hier() {
     if (best_share < 0.0) best_share = 0.0;
 
     // Freeze every unfixed flow crossing the bottleneck (ascending by id —
-    // the same order the full fill visits them).
+    // the order the oracle visits them).
     for (FlowId fid : link_flows_[best_link]) {
       const std::uint32_t slot = fid.value();
       if (flow_fixed_[slot]) continue;
       const double w = arena_weight_[slot];
       const double rate = best_share * w;
-      set_rate_hier(slot, rate);
+      set_rate(slot, rate);
       flow_fixed_[slot] = 1;
       --remaining_flows;
       const std::uint32_t off = path_off_[slot];
@@ -701,7 +563,7 @@ void Fabric::fill_component_hier() {
   }
 }
 
-void Fabric::set_rate_hier(std::uint32_t slot, double rate_bps) {
+void Fabric::set_rate(std::uint32_t slot, double rate_bps) {
   // The mirror always equals flows_[slot].rate, so the no-change test can
   // stay on the dense 8-byte-per-slot array — refreezing a flow at its old
   // rate (the common case) never faults in the cold Flow record.
@@ -709,10 +571,10 @@ void Fabric::set_rate_hier(std::uint32_t slot, double rate_bps) {
   Flow& f = flows_[slot];
   f.rate = util::BitsPerSec{rate_bps};
   arena_rate_bps_[slot] = rate_bps;
-  push_eta_hier(slot, f);
+  push_eta(slot, f);
 }
 
-void Fabric::push_eta_hier(std::uint32_t slot, const Flow& f) {
+void Fabric::push_eta(std::uint32_t slot, const Flow& f) {
   if (f.rate.bps() <= 0.0) {
     arena_eta_ns_[slot] = -1;  // starved: re-examined on the next change
     return;
@@ -762,7 +624,6 @@ void Fabric::complete_flow(std::uint32_t slot) {
     remove_link_flow(l, f.id);
     mark_dirty(l);
   }
-  unregister_flow_groups(slot);
   arena_rate_bps_[slot] = 0.0;
   arena_eta_ns_[slot] = -1;
   f.completed = true;
@@ -802,7 +663,7 @@ void Fabric::on_completion_event() {
   for (std::uint32_t slot : due_slots_) {
     Flow& f = flows_[slot];
     if (f.remaining_bytes > kDoneEpsilonBytes) {
-      push_eta_hier(slot, f);  // defensive: deadline drifted, re-arm
+      push_eta(slot, f);  // defensive: deadline drifted, re-arm
       continue;
     }
     done.push_back(f.id);
@@ -832,10 +693,10 @@ void Fabric::settle_and_recompute() {
 }
 
 void Fabric::encode_counters(sim::StateEncoder& enc) const {
-  // Rate-engine observability: deterministic within one engine, but
-  // kHierarchical and kFullRecompute legitimately differ here even though
-  // their allocations are contracted identical — which is why this lives in
-  // its own snapshot section the cross-arm bisection skips.
+  // Fill work counters: deterministic, but observability rather than
+  // behaviour (how much state a fill touches is an implementation detail),
+  // which is why this lives in its own snapshot section the cross-arm
+  // bisection skips.
   enc.put_u64(counters_.recomputes);
   enc.put_u64(counters_.full_fills);
   enc.put_u64(counters_.links_touched);

@@ -9,21 +9,17 @@
 // settled against simulated time before every recompute, so byte accounting
 // is exact.
 //
-// One production rate engine, kHierarchical, plus the kFullRecompute oracle.
-// kHierarchical exploits the topology's locality-group partition
-// (Topology::node_group — fat-tree pods or racks coupled through core links):
-// a change refills only the component of links and flows it can affect,
-// collected group-by-group over flat struct-of-arrays flow mirrors. The fill
-// reads those dense arrays (weights, classes, rates, path rows in a shared
-// arena) instead of chasing Flow records, and completion deadlines live in a
-// dense per-slot array scanned linearly. The collected component is a
-// superset of the exact component (whole groups at a time), which is
-// provably harmless: extra links carry no unfixed flows and are skipped by
-// the fill, so the floating-point operation sequence — and therefore every
-// allocated rate — stays bit-identical to kFullRecompute, which reruns the
-// original fill over every link and flow on each change and exists only so
-// differential tests and divergence bisection have an oracle to compare
-// against.
+// One fill: a change refills only the exact flow-connected component of
+// the links it dirtied (a BFS over the per-link flow index and the flows'
+// path rows), and max-min decomposes exactly over components, so every
+// other flow provably keeps its rate. The fill reads dense struct-of-arrays
+// flow mirrors (weights, classes, rates, path rows in a shared arena)
+// instead of chasing Flow records, and completion deadlines live in a dense
+// per-slot array scanned linearly. Component links are filled in ascending
+// link order with flows visited in ascending id order, so every allocated
+// rate is bit-identical to a whole-fabric progressive fill; the frozen
+// oracle in tests/net/fabric_oracle.hpp is that fill, and the differential
+// tests compare against it after every mutation.
 #pragma once
 
 #include <array>
@@ -91,22 +87,6 @@ struct Flow {
 
 using FlowCompleteFn = std::function<void(FlowId, util::SimTime)>;
 
-/// Which progressive-fill driver recomputes rates on fabric changes.
-enum class RateEngine {
-  /// Legacy full fill over all links and flows on every change. Kept as the
-  /// oracle for differential tests and divergence bisection.
-  kFullRecompute,
-  /// Group-partitioned component collection + struct-of-arrays fill. Uses
-  /// Topology's locality groups (pods/racks vs. the shared core); on
-  /// topologies without group metadata it degrades to full-component fills
-  /// that are still bit-identical, just not faster. Default.
-  kHierarchical,
-};
-
-struct FabricConfig {
-  RateEngine rate_engine = RateEngine::kHierarchical;
-};
-
 /// Hot-path counters for perf-trajectory tracking across PRs.
 struct FabricCounters {
   std::uint64_t recomputes = 0;        // progressive fills run
@@ -119,7 +99,7 @@ struct FabricCounters {
 
 class Fabric {
  public:
-  Fabric(sim::Simulation& sim, const Topology& topo, FabricConfig cfg = {});
+  Fabric(sim::Simulation& sim, const Topology& topo);
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -203,7 +183,6 @@ class Fabric {
   }
   /// Hot-path perf counters (recomputes, links/flows touched, events).
   [[nodiscard]] const FabricCounters& counters() const { return counters_; }
-  [[nodiscard]] RateEngine rate_engine() const { return cfg_.rate_engine; }
 
   /// Settles all flows to now() and recomputes max-min rates. Called
   /// automatically on arrivals/departures/CBR changes; public so that probes
@@ -217,17 +196,17 @@ class Fabric {
   /// it is reconstructed by replay and never observable.
   void encode_state(sim::StateEncoder& enc) const;
 
-  /// Rate-engine work counters, serialized as their own snapshot section:
-  /// kHierarchical and kFullRecompute allocate identical rates but touch
-  /// different amounts of state doing it, so divergence bisection compares
-  /// behavioral sections only (see Snapshot::describe_divergence).
+  /// Fill work counters, serialized as their own snapshot section: they
+  /// measure how much state the fill touched, not what it allocated, so
+  /// divergence bisection compares behavioral sections only (see
+  /// Snapshot::describe_divergence).
   void encode_counters(sim::StateEncoder& enc) const;
 
  private:
-  /// Power-of-two size-bucketed span allocator for arena rows (flow paths,
-  /// flow group lists). Freed rows go onto a per-bucket LIFO free list, so
-  /// allocation order — and therefore every offset — is a deterministic
-  /// function of the mutation sequence, never of the host allocator.
+  /// Power-of-two size-bucketed span allocator for flow path rows. Freed
+  /// rows go onto a per-bucket LIFO free list, so allocation order — and
+  /// therefore every offset — is a deterministic function of the mutation
+  /// sequence, never of the host allocator.
   class SpanArena {
    public:
     /// Offset of a row holding >= len entries; sets `bucket` for release().
@@ -249,7 +228,7 @@ class Fabric {
   void schedule_next_completion();
   void on_completion_event();
   /// Completion bookkeeping for one due flow (swap-pop from active_,
-  /// link/group deregistration, stats).
+  /// link deregistration, stats).
   void complete_flow(std::uint32_t slot);
 
   std::uint32_t acquire_slot();
@@ -257,41 +236,33 @@ class Fabric {
   void insert_link_flow(LinkId l, FlowId id);
   void remove_link_flow(LinkId l, FlowId id);
   void mark_dirty(LinkId l);
-  void mark_all_dirty();
   void clear_dirty();
-  /// Residual capacity a link offers elastic flows (shared by both fills so
-  /// the arithmetic is bit-identical).
+  /// Residual capacity a link offers elastic flows: capacity minus CBR
+  /// load, floored at zero; zero while the link is down.
   [[nodiscard]] double elastic_headroom(std::uint32_t l) const;
-  /// Legacy progressive fill over every link and active flow (the
-  /// kFullRecompute oracle).
-  void fill_full();
 
-  // --- kHierarchical internals ---
-  /// Copies spec.path into the path arena and indexes the flow under every
-  /// locality group its path touches.
+  /// Copies spec.path into the path arena and the Flow fields the fill
+  /// reads into the slot's mirrors.
   void arena_admit(std::uint32_t slot);
-  /// Releases the group index entries (swap-pop with position fixup).
-  void unregister_flow_groups(std::uint32_t slot);
   /// Frees the path row; the offset sentinel left behind turns stale
   /// flow_path() reads into deterministic debug aborts.
   void free_path_row(std::uint32_t slot);
-  /// Group-closure component collection into comp_links_/comp_flows_ (a
-  /// superset of the exact component; see file header for why that is
-  /// harmless).
-  void collect_component_hier();
+  /// Collects the exact flow-connected component of the dirty links into
+  /// comp_links_ (ascending) and comp_flows_, and sets each component
+  /// link's unfixed weight and count.
+  void collect_component();
   /// Progressive fill restricted to comp_links_/comp_flows_, reading the
-  /// arena mirrors; same floating-point operation sequence as fill_full().
-  void fill_component_hier();
+  /// arena mirrors.
+  void fill_component();
   /// Sets a flow's rate (Flow record and arena mirror) and re-arms its
-  /// completion deadline; both fills write rates through here.
-  void set_rate_hier(std::uint32_t slot, double rate_bps);
-  void push_eta_hier(std::uint32_t slot, const Flow& f);
+  /// completion deadline.
+  void set_rate(std::uint32_t slot, double rate_bps);
+  void push_eta(std::uint32_t slot, const Flow& f);
 
-  // pythia-lint: allow(snapshot-skip, group) construction wiring and config
-  // identity: restore builds a fresh Fabric from the fingerprinted scenario.
+  // pythia-lint: allow(snapshot-skip, group) construction wiring: restore
+  // builds a fresh Fabric from the fingerprinted scenario.
   sim::Simulation* sim_;
   const Topology* topo_;
-  FabricConfig cfg_;
 
   // pythia-lint: allow(snapshot-skip, group) slot bookkeeping rebuilt by
   // restore replay: encode_state writes the live flows, and re-admitting
@@ -327,12 +298,12 @@ class Fabric {
   std::vector<double> residual_;
   std::vector<double> unfixed_weight_;
   std::vector<std::uint32_t> unfixed_count_;
-  // kHierarchical selection scratch: comp_links_[r] has its live share at
+  // Bottleneck selection scratch: comp_links_[r] has its live share at
   // share_dense_[r] (+inf once the link empties), and link_rank_ inverts the
   // mapping for freeze-time refreshes. A dense array the vectorized min scan
   // can walk without indirection or a count check; ranks follow comp_links_
-  // order, so "first rank at the min" reproduces the legacy strict
-  // `share < best` tie-break exactly.
+  // order, so "first rank at the min" reproduces a strict `share < best`
+  // scan over ascending link ids exactly.
   std::vector<double> share_dense_;
   std::vector<std::uint32_t> link_rank_;
   // Per-round dedup of freeze-time share refreshes: one division per touched
@@ -340,9 +311,16 @@ class Fabric {
   std::vector<char> link_touched_;
   std::vector<std::uint32_t> touched_links_;
   std::vector<char> flow_fixed_;        // slot-indexed
+  // Component collection: comp_links_ is the BFS link queue, then the
+  // ascending readout of comp_bits_ (one bit per link, all clear between
+  // fills); comp_flows_ is the flow queue, and flow_mark_ stamps a flow with
+  // comp_epoch_ once it is collected.
   std::vector<std::uint32_t> comp_links_;
   std::vector<std::uint32_t> comp_flows_;
-  std::vector<FlowId> sorted_active_;   // fill_full scratch
+  std::vector<std::uint64_t> comp_bits_;
+  std::vector<std::uint64_t> flow_mark_;  // slot-indexed
+  std::uint64_t comp_epoch_ = 0;
+  std::vector<std::uint32_t> due_slots_;  // completion scan scratch
 
   // --- struct-of-arrays flow arena ---
   // Dense slot-indexed mirrors of the Flow fields the fill hot loops read,
@@ -361,29 +339,6 @@ class Fabric {
   std::vector<std::uint32_t> path_len_;     // slot-indexed
   std::vector<std::uint8_t> path_bucket_;   // slot-indexed
   SpanArena path_arena_;
-
-  // Locality-group index: link -> group, per-group sorted link lists, and
-  // per-group active-flow membership (swap-pop, position tracked in the
-  // flow's group row so removal is O(groups on path)).
-  // pythia-lint: allow(snapshot-skip, group) locality-group index derived
-  // from the (fingerprinted) topology at construction plus the re-admitted
-  // flows; epoch marks only dedupe within one closure walk.
-  std::size_t num_groups_ = 0;              // locality groups + shared core
-  std::vector<std::uint32_t> link_group_;
-  std::vector<std::vector<std::uint32_t>> group_links_;
-  std::vector<std::vector<std::uint32_t>> group_flows_;
-  std::vector<std::uint32_t> group_id_pool_;   // flow group rows
-  std::vector<std::uint32_t> group_pos_pool_;  // parallel to group_id_pool_
-  std::vector<std::uint32_t> groups_off_;      // slot-indexed
-  std::vector<std::uint32_t> groups_len_;      // slot-indexed
-  std::vector<std::uint8_t> groups_bucket_;    // slot-indexed
-  SpanArena group_arena_;
-  std::vector<std::uint64_t> group_mark_;      // epoch marks, group-indexed
-  std::vector<std::uint64_t> flow_mark_;       // epoch marks, slot-indexed
-  std::uint64_t hier_epoch_ = 0;
-  std::vector<std::uint32_t> comp_groups_;     // closure scratch
-  std::vector<std::uint32_t> scratch_groups_;  // per-flow dedupe scratch
-  std::vector<std::uint32_t> due_slots_;       // completion scan scratch
 
   // pythia-lint: allow(snapshot-skip, group) completion_event_ is
   // re-scheduled from the encoded scheduled_eta_ns_ during restore, and

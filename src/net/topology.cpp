@@ -1,6 +1,5 @@
 #include "net/topology.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace pythia::net {
@@ -9,7 +8,6 @@ NodeId Topology::add_host(std::string name, int rack) {
   const NodeId id{static_cast<std::uint32_t>(nodes_.size())};
   nodes_.push_back(Node{id, NodeKind::kHost, std::move(name), rack});
   out_.emplace_back();
-  node_group_.push_back(kCoreGroup);
   return id;
 }
 
@@ -17,24 +15,7 @@ NodeId Topology::add_switch(std::string name, int rack) {
   const NodeId id{static_cast<std::uint32_t>(nodes_.size())};
   nodes_.push_back(Node{id, NodeKind::kSwitch, std::move(name), rack});
   out_.emplace_back();
-  node_group_.push_back(kCoreGroup);
   return id;
-}
-
-void Topology::set_node_group(NodeId n, std::int32_t group) {
-  assert(n.valid() && n.value() < nodes_.size());
-  assert(group >= kCoreGroup);
-  node_group_[n.value()] = group;
-  if (group >= 0) {
-    group_count_ = std::max(group_count_, static_cast<std::size_t>(group) + 1);
-  }
-}
-
-std::int32_t Topology::link_group(LinkId l) const {
-  const Link& link = links_[l.value()];
-  const std::int32_t a = node_group_[link.src.value()];
-  const std::int32_t b = node_group_[link.dst.value()];
-  return a == b ? a : kCoreGroup;
 }
 
 LinkId Topology::add_link(NodeId src, NodeId dst, util::BitsPerSec capacity) {
@@ -102,15 +83,12 @@ Topology make_two_rack(const TwoRackConfig& cfg) {
   Topology topo;
   const NodeId tor0 = topo.add_switch("tor-0", 0);
   const NodeId tor1 = topo.add_switch("tor-1", 1);
-  topo.set_node_group(tor0, 0);
-  topo.set_node_group(tor1, 1);
   for (std::size_t r = 0; r < 2; ++r) {
     const NodeId tor = r == 0 ? tor0 : tor1;
     for (std::size_t s = 0; s < cfg.servers_per_rack; ++s) {
       const NodeId host = topo.add_host(
           "server-" + std::to_string(r * cfg.servers_per_rack + s),
           static_cast<int>(r));
-      topo.set_node_group(host, static_cast<std::int32_t>(r));
       topo.add_duplex(host, tor, cfg.host_link);
     }
   }
@@ -133,7 +111,6 @@ Topology make_leaf_spine(const LeafSpineConfig& cfg) {
   for (std::size_t r = 0; r < cfg.racks; ++r) {
     tors.push_back(topo.add_switch("tor-" + std::to_string(r),
                                    static_cast<int>(r)));
-    topo.set_node_group(tors.back(), static_cast<std::int32_t>(r));
   }
   std::vector<NodeId> spines;
   spines.reserve(cfg.spines);
@@ -145,7 +122,6 @@ Topology make_leaf_spine(const LeafSpineConfig& cfg) {
       const NodeId host = topo.add_host(
           "server-" + std::to_string(r * cfg.servers_per_rack + s),
           static_cast<int>(r));
-      topo.set_node_group(host, static_cast<std::int32_t>(r));
       topo.add_duplex(host, tors[r], cfg.host_link);
     }
   }
@@ -177,24 +153,20 @@ Topology make_fat_tree(const FatTreeConfig& cfg) {
     std::vector<NodeId> aggs;
     edges.reserve(half);
     aggs.reserve(half);
-    const auto pod_group = static_cast<std::int32_t>(pod);
     for (std::size_t e = 0; e < half; ++e) {
       const int rack = static_cast<int>(pod * half + e);
       edges.push_back(topo.add_switch(
           "edge-" + std::to_string(pod) + "-" + std::to_string(e), rack));
-      topo.set_node_group(edges.back(), pod_group);
     }
     for (std::size_t a = 0; a < half; ++a) {
       aggs.push_back(topo.add_switch("agg-" + std::to_string(pod) + "-" +
                                      std::to_string(a)));
-      topo.set_node_group(aggs.back(), pod_group);
     }
     for (std::size_t e = 0; e < half; ++e) {
       const int rack = static_cast<int>(pod * half + e);
       for (std::size_t h = 0; h < hosts_per_edge; ++h) {
         const NodeId host =
             topo.add_host("server-" + std::to_string(host_seq++), rack);
-        topo.set_node_group(host, pod_group);
         topo.add_duplex(host, edges[e], cfg.host_link);
       }
       for (std::size_t a = 0; a < half; ++a) {

@@ -62,33 +62,6 @@ class Topology {
   /// 5-tuples for ECMP hashing.
   [[nodiscard]] std::uint32_t address_of(NodeId n) const;
 
-  // --- partition metadata (fabric rate engine) ----------------------------
-  //
-  // Nodes are partitioned into locality groups: one group per fat-tree pod
-  // (or leaf-spine rack / two-rack rack), with core/spine/wire switches left
-  // in the shared "core" group (`kCoreGroup`). A link inherits its
-  // endpoints' group when both agree and falls into the core group
-  // otherwise (so every leaf-spine uplink is a core link). The fabric's
-  // production max-min engine (`RateEngine::kHierarchical`) uses this
-  // partition to collect dirty components group-by-group instead of
-  // flow-by-flow; topologies without assignments degrade gracefully to a
-  // single core group (every refill is cluster-wide, still bit-identical to
-  // the `kFullRecompute` oracle).
-
-  /// Sentinel group for nodes outside every locality group (cores/spines).
-  static constexpr std::int32_t kCoreGroup = -1;
-
-  /// Assigns `n` to locality group `group` (>= 0) or back to the core group.
-  void set_node_group(NodeId n, std::int32_t group);
-  /// Group of `n`; kCoreGroup when unassigned.
-  [[nodiscard]] std::int32_t node_group(NodeId n) const {
-    return node_group_[n.value()];
-  }
-  /// Number of locality groups (max assigned index + 1; 0 when none).
-  [[nodiscard]] std::size_t group_count() const { return group_count_; }
-  /// Group of a link: the endpoints' common group, else kCoreGroup.
-  [[nodiscard]] std::int32_t link_group(LinkId l) const;
-
   /// True if `path` is a contiguous link chain from `src` to `dst`.
   [[nodiscard]] bool validate_path(NodeId src, NodeId dst,
                                    const std::vector<LinkId>& path) const;
@@ -97,8 +70,6 @@ class Topology {
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_;
-  std::vector<std::int32_t> node_group_;
-  std::size_t group_count_ = 0;
 };
 
 /// The paper's testbed: two racks of `servers_per_rack` hosts, one ToR each,

@@ -156,20 +156,17 @@ std::vector<net::LinkId> fat_tree_path(const net::Topology& topo,
   return path;
 }
 
-/// The pinned hierarchical-engine scenario: fat-tree k=8, kHierarchical, a
-/// steady backdrop plus three shuffle waves of
-/// simultaneous arrivals. Every start, completion, and the final settled
-/// state image go into the trace, so an engine change that moves any event
-/// time — or any allocation bit — shows up as an explicit golden diff.
+/// The pinned fabric scenario: fat-tree k=8, a steady backdrop plus three
+/// shuffle waves of simultaneous arrivals. Every start, completion, and the
+/// final settled state image go into the trace, so a fill change that moves
+/// any event time — or any allocation bit — shows up as an explicit golden
+/// diff. The header's `engine=hierarchical` is part of the pinned file.
 std::string record_hier_fabric_trace() {
   net::FatTreeConfig topo_cfg;
   topo_cfg.k = 8;
   const net::Topology topo = net::make_fat_tree(topo_cfg);
   sim::Simulation sim(1234);
-  net::Fabric fabric(sim, topo,
-                     net::FabricConfig{
-                         .rate_engine = net::RateEngine::kHierarchical,
-                     });
+  net::Fabric fabric(sim, topo);
   util::Xoshiro256 rng(1234);
   const auto hosts = topo.hosts();
 

@@ -1,23 +1,23 @@
-// Differential validation of the production rate engine against its oracle.
-// Every scenario is replayed under kFullRecompute and kHierarchical, and the
-// observable outcomes must match bit-for-bit: completion order and instants,
-// every sampled rate's IEEE-754 bits, and the full encode_state() image at
-// mid-run cuts. The engines share the progressive-fill arithmetic by
-// construction, so any divergence is a bug in the group closure or the arena
-// mirrors — exactly the machinery this suite exists to catch.
+// Differential validation of the production rate fill against the frozen
+// oracle in tests/net/fabric_oracle.hpp. Every scenario drives one Fabric
+// and, after every mutation and every event, compares each active flow's
+// rate and each link's elastic and per-class rate with an oracle fill over
+// the fabric's public state, by IEEE-754 bit pattern. The oracle shares no
+// bookkeeping with the Fabric, so any divergence is a bug in the component
+// collection, the per-link flow index or the arena mirrors — exactly the
+// machinery this suite exists to catch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "experiments/checkpoint.hpp"
 #include "experiments/scenario.hpp"
 #include "net/fabric.hpp"
+#include "net/fabric_oracle.hpp"
 #include "net/routing.hpp"
 #include "sim/simulation.hpp"
-#include "sim/snapshot.hpp"
 #include "util/random.hpp"
 #include "workloads/hibench.hpp"
 
@@ -28,47 +28,24 @@ using util::BitsPerSec;
 using util::Bytes;
 using util::SimTime;
 
-/// One engine configuration under test.
-struct Arm {
-  RateEngine engine;
-  const char* name;
-};
-
-constexpr Arm kArms[] = {
-    {RateEngine::kFullRecompute, "full"},
-    {RateEngine::kHierarchical, "hierarchical"},
-};
-
-/// (start sequence, completion instant); flow ids recycle, the sequence is
-/// the stable identity.
-using CompletionLog = std::vector<std::pair<int, std::int64_t>>;
-
-struct ChurnResult {
-  CompletionLog log;
-  /// encode_state() images captured at fixed run_until() cuts. Counters are
-  /// deliberately NOT included — they are observability, engines may differ.
-  std::vector<std::vector<std::uint8_t>> cuts;
-  /// Rate bit-patterns of every active flow at each cut, ascending by id.
-  std::vector<std::vector<double>> cut_rates;
-};
-
 /// Seeded churn on a k=4 fat-tree: staggered random arrivals with a tunable
 /// cross-pod fraction, zero-byte flows, a CBR pulse, fail+restore of both a
 /// core link and an intra-pod link, mid-flight reroutes and weight changes.
-ChurnResult run_churn(const Arm& arm, std::uint64_t seed,
-                      double cross_pod_fraction) {
+/// Returns the number of completed flows.
+std::uint64_t run_churn(std::uint64_t seed, double cross_pod_fraction) {
   FatTreeConfig cfg;
   cfg.k = 4;
   const Topology topo = make_fat_tree(cfg);
   const RoutingGraph routing(topo, 4);
 
   sim::Simulation sim(seed);
-  Fabric fabric(sim, topo, FabricConfig{.rate_engine = arm.engine});
+  Fabric fabric(sim, topo);
   util::Xoshiro256 rng(seed);
   const auto hosts = topo.hosts();
   const auto hosts_per_pod = hosts.size() / cfg.k;
-
-  ChurnResult out;
+  auto check = [&fabric](const std::string& what) {
+    expect_fabric_matches_oracle(fabric, what);
+  };
 
   // Pinned long-lived cross-pod flows that survive to the reroute events.
   std::vector<FlowId> pinned;
@@ -81,11 +58,8 @@ ChurnResult run_churn(const Arm& arm, std::uint64_t seed,
     spec.size = Bytes{6'000'000'000};
     spec.path = routing.paths(src, dst)[0].links;
     spec.weight = 1.0 + i;
-    const int tag = 1000 + i;
-    pinned.push_back(fabric.start_flow(
-        spec, [&out, tag](FlowId, SimTime t) {
-          out.log.emplace_back(tag, t.ns());
-        }));
+    pinned.push_back(fabric.start_flow(spec));
+    check("pinned start " + std::to_string(i));
   }
 
   // Randomized short flows over two simulated seconds. Destination pod is
@@ -114,16 +88,14 @@ ChurnResult run_churn(const Arm& arm, std::uint64_t seed,
     const auto size = static_cast<std::int64_t>(
         i % 9 == 8 ? 0 : 1'000'000 + rng.below(300'000'000));
     const double weight = rng.uniform(0.5, 3.0);
-    sim.at(at, [&fabric, &out, i, src, dst, path, size, weight] {
+    sim.at(at, [&fabric, src, dst, path, size, weight] {
       FlowSpec spec;
       spec.src = src;
       spec.dst = dst;
       spec.size = Bytes{size};
       spec.path = path;
       spec.weight = weight;
-      fabric.start_flow(spec, [&out, i](FlowId, SimTime t) {
-        out.log.emplace_back(i, t.ns());
-      });
+      fabric.start_flow(spec);
     });
   }
 
@@ -149,58 +121,26 @@ ChurnResult run_churn(const Arm& arm, std::uint64_t seed,
   sim.at(SimTime::from_seconds(0.8),
          [&fabric, pod_victim] { fabric.restore_link(pod_victim); });
 
-  // Reroute and reweight the pinned flows mid-flight.
-  sim.at(SimTime::from_seconds(0.7), [&fabric, &routing, pinned] {
+  // Reroute and reweight the pinned flows mid-flight, checking after each.
+  sim.at(SimTime::from_seconds(0.7), [&fabric, &routing, &check, pinned] {
     for (FlowId f : pinned) {
       if (!fabric.flow_active(f)) continue;
       const auto& spec = fabric.flow(f).spec;
       const auto& alts = routing.paths(spec.src, spec.dst);
       fabric.reroute_flow(f, alts[alts.size() - 1].links);
+      check("reroute of flow " + std::to_string(f.value()));
     }
   });
-  sim.at(SimTime::from_seconds(1.1), [&fabric, pinned] {
+  sim.at(SimTime::from_seconds(1.1), [&fabric, &check, pinned] {
     for (FlowId f : pinned) {
-      if (fabric.flow_active(f)) fabric.set_flow_weight(f, 2.5);
+      if (!fabric.flow_active(f)) continue;
+      fabric.set_flow_weight(f, 2.5);
+      check("reweight of flow " + std::to_string(f.value()));
     }
   });
 
-  // Freeze at fixed instants and capture the behavioral state image plus
-  // every active rate's bit pattern.
-  for (const double cut_s : {0.45, 0.75, 1.3}) {
-    sim.run_until(SimTime::from_seconds(cut_s));
-    sim::StateEncoder enc;
-    fabric.encode_state(enc);
-    out.cuts.push_back(enc.bytes());
-    std::vector<double> rates;
-    for (FlowId f : fabric.active_flows()) {
-      rates.push_back(fabric.flow(f).rate.bps());
-    }
-    out.cut_rates.push_back(std::move(rates));
-  }
-
-  sim.run();
-  return out;
-}
-
-void expect_identical(const ChurnResult& base, const ChurnResult& other,
-                      const char* base_name, const char* other_name) {
-  SCOPED_TRACE(std::string(base_name) + " vs " + other_name);
-  ASSERT_EQ(base.log.size(), other.log.size());
-  for (std::size_t i = 0; i < base.log.size(); ++i) {
-    EXPECT_EQ(base.log[i].first, other.log[i].first)
-        << "completion order @" << i;
-    EXPECT_EQ(base.log[i].second, other.log[i].second)
-        << "completion time of flow " << base.log[i].first;
-  }
-  ASSERT_EQ(base.cuts.size(), other.cuts.size());
-  for (std::size_t c = 0; c < base.cuts.size(); ++c) {
-    EXPECT_EQ(base.cuts[c], other.cuts[c]) << "state image at cut " << c;
-    ASSERT_EQ(base.cut_rates[c].size(), other.cut_rates[c].size());
-    for (std::size_t i = 0; i < base.cut_rates[c].size(); ++i) {
-      EXPECT_EQ(base.cut_rates[c][i], other.cut_rates[c][i])  // bitwise
-          << "rate of active flow " << i << " at cut " << c;
-    }
-  }
+  run_checking_oracle(sim, fabric, "churn seed " + std::to_string(seed));
+  return fabric.flows_completed();
 }
 
 struct ChurnParam {
@@ -210,19 +150,15 @@ struct ChurnParam {
 
 class FabricDifferential : public ::testing::TestWithParam<ChurnParam> {};
 
-TEST_P(FabricDifferential, AllEnginesBitIdentical) {
+TEST_P(FabricDifferential, ChurnMatchesOracleAfterEveryMutation) {
   const auto [seed, cross] = GetParam();
-  const ChurnResult base = run_churn(kArms[0], seed, cross);
-  ASSERT_FALSE(base.log.empty());
-  for (std::size_t a = 1; a < std::size(kArms); ++a) {
-    const ChurnResult other = run_churn(kArms[a], seed, cross);
-    expect_identical(base, other, kArms[0].name, kArms[a].name);
-  }
+  // 4 pinned + 90 randomized flows, every one of which completes.
+  EXPECT_EQ(run_churn(seed, cross), 94u);
 }
 
-// Pod-local traffic (components never leave a group), core-coupled traffic
-// (closure spans pods), and the mixed regime each stress different paths
-// through collect_component_hier().
+// Pod-local traffic (components never leave a pod), core-coupled traffic
+// (components span pods), and the mixed regime each stress different shapes
+// of the dirty-link component walk.
 INSTANTIATE_TEST_SUITE_P(
     Seeds, FabricDifferential,
     ::testing::Values(ChurnParam{1, 0.5}, ChurnParam{7, 0.5},
@@ -231,23 +167,18 @@ INSTANTIATE_TEST_SUITE_P(
                       ChurnParam{3, 1.0},   // pure cross-pod
                       ChurnParam{99, 0.15}, ChurnParam{99, 0.85}));
 
-/// Shuffle waves against a steady backdrop on a k=4 fat-tree: 300
-/// long-lived flows, then waves of 25 simultaneous starts 5 ms apart — the
-/// arrival shape a MapReduce shuffle stage produces. Returns the fabric's
-/// behavioral state image halfway between consecutive waves.
-struct WaveRun {
-  std::vector<std::vector<std::uint8_t>> images;
-  std::uint64_t completed = 0;
-};
-
-WaveRun run_shuffle_waves(RateEngine engine) {
+TEST(FabricDifferential, ShuffleWavesStateIdenticalToOracle) {
+  // Shuffle waves against a steady backdrop on a k=4 fat-tree: 300
+  // long-lived flows, then waves of 25 simultaneous starts 5 ms apart — the
+  // arrival shape a MapReduce shuffle stage produces. Every start and every
+  // event is checked against the oracle.
   FatTreeConfig cfg;
   cfg.k = 4;
   const Topology topo = make_fat_tree(cfg);
   const RoutingGraph routing(topo, 4);
   const auto hosts = topo.hosts();
   sim::Simulation sim(17);
-  Fabric fabric(sim, topo, FabricConfig{.rate_engine = engine});
+  Fabric fabric(sim, topo);
   util::Xoshiro256 rng(17);
 
   auto random_spec = [&](std::int64_t bytes) {
@@ -267,6 +198,9 @@ WaveRun run_shuffle_waves(RateEngine engine) {
   for (int i = 0; i < kBackdrop; ++i) {
     // Outlives every wave, so each fill runs against the full backdrop.
     fabric.start_flow(random_spec(1'000'000'000'000LL));
+    expect_fabric_matches_oracle(fabric,
+                                 "backdrop start " + std::to_string(i));
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
   for (int w = 1; w <= kWaves; ++w) {
     for (int i = 0; i < kWaveSize; ++i) {
@@ -278,37 +212,53 @@ WaveRun run_shuffle_waves(RateEngine engine) {
              [&fabric, spec] { fabric.start_flow(spec); });
     }
   }
-  WaveRun out;
-  for (int w = 1; w <= kWaves; ++w) {
-    sim.run_until(SimTime{w * 5'000'000LL + 2'500'000LL});
-    sim::StateEncoder enc;
-    fabric.encode_state(enc);
-    out.images.push_back(enc.bytes());
+  // Stop once the last wave has drained; the backdrop runs for hours.
+  std::uint64_t events = 0;
+  while (fabric.active_flow_count() > kBackdrop ||
+         sim.now() < SimTime{kWaves * 5'000'000LL}) {
+    ASSERT_TRUE(sim.queue().run_one());
+    ++events;
+    expect_fabric_matches_oracle(fabric,
+                                 "shuffle waves after event " +
+                                     std::to_string(events));
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
-  out.completed = fabric.flows_completed();
-  return out;
+  EXPECT_EQ(fabric.flows_completed(),
+            static_cast<std::uint64_t>(kWaves * kWaveSize));
 }
 
-TEST(FabricDifferential, ShuffleWavesStateIdenticalToOracle) {
-  const WaveRun full = run_shuffle_waves(RateEngine::kFullRecompute);
-  const WaveRun hier = run_shuffle_waves(RateEngine::kHierarchical);
-  EXPECT_GT(full.completed, 0u);  // completions interleaved with the waves
-  EXPECT_EQ(full.completed, hier.completed);
-  ASSERT_EQ(full.images.size(), hier.images.size());
-  for (std::size_t w = 0; w < full.images.size(); ++w) {
-    EXPECT_EQ(full.images[w], hier.images[w])
-        << "state image after wave " << w + 1;
+TEST(FabricDifferential, QuickstartScenarioMatchesOracleAfterEveryEvent) {
+  // The quickstart's scenario shape (two racks, 1:10 background, ECMP, a
+  // 2 GB sort over 4 reducers), stepped one event at a time with every
+  // active rate and link rate checked against the oracle.
+  exp::ScenarioConfig cfg;
+  cfg.seed = 42;
+  cfg.scheduler = exp::SchedulerKind::kEcmp;
+  cfg.background.oversubscription = 10.0;
+  exp::Scenario scenario(cfg);
+  scenario.submit_job(workloads::sort_job(Bytes{2'000'000'000}, 4));
+  std::uint64_t events = 0;
+  for (;;) {
+    scenario.run_to_event_count(events + 1);
+    const std::uint64_t fired =
+        scenario.simulation().queue().events_fired();
+    if (fired == events) break;  // queue drained
+    events = fired;
+    expect_fabric_matches_oracle(scenario.fabric(),
+                                 "quickstart after event " +
+                                     std::to_string(events));
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
+  EXPECT_GT(events, 100u);
+  EXPECT_GT(scenario.finish().completion_time(), util::Duration::zero());
 }
 
-TEST(FabricCheckpoint, HierarchicalScenarioRestoresVerified) {
-  // Scenario-level capture/restore with the hierarchical engine at mid-run
-  // event cursors.
+TEST(FabricCheckpoint, ScenarioRestoresVerifiedAtMidRunCuts) {
+  // Scenario-level capture/restore at mid-run event cursors.
   exp::ScenarioConfig cfg;
   cfg.seed = 11;
   cfg.scheduler = exp::SchedulerKind::kPythia;
   cfg.background.oversubscription = 10.0;
-  cfg.rate_engine = RateEngine::kHierarchical;
   const auto job = workloads::sort_job(Bytes{4'000'000'000LL}, 16);
 
   exp::Scenario probe(cfg);
@@ -320,7 +270,7 @@ TEST(FabricCheckpoint, HierarchicalScenarioRestoresVerified) {
     exp::Scenario golden(cfg);
     golden.submit_job(job);
     golden.run_to_event_count(cut);
-    const sim::Snapshot snap = exp::capture_snapshot(golden, job, "hier-cut");
+    const sim::Snapshot snap = exp::capture_snapshot(golden, job, "mid-cut");
     exp::RestoreResult restored = exp::restore_snapshot(snap, cfg, job);
     ASSERT_TRUE(restored.verified)
         << "cut " << cut << ": " << restored.divergence;
@@ -329,23 +279,6 @@ TEST(FabricCheckpoint, HierarchicalScenarioRestoresVerified) {
     EXPECT_EQ(restored_result.completion_time(),
               golden_result.completion_time());
   }
-}
-
-TEST(FabricCheckpoint, ScenarioSurfaceIdenticalAcrossEngines) {
-  // The quickstart scenario shape must complete at the same instant under
-  // the production engine and the oracle.
-  auto run = [](RateEngine engine) {
-    exp::ScenarioConfig cfg;
-    cfg.seed = 42;
-    cfg.scheduler = exp::SchedulerKind::kEcmp;
-    cfg.background.oversubscription = 10.0;
-    cfg.rate_engine = engine;
-    exp::Scenario scenario(cfg);
-    return scenario.run_job(workloads::sort_job(Bytes{2'000'000'000}, 4))
-        .completion_time()
-        .ns();
-  };
-  EXPECT_EQ(run(RateEngine::kFullRecompute), run(RateEngine::kHierarchical));
 }
 
 }  // namespace

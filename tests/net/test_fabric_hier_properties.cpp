@@ -1,12 +1,12 @@
-// Property and invariant suite for the hierarchical rate engine's arena
-// machinery: weighted max-min certificates on fat-tree topologies, exact
+// Property and invariant suite for the fabric's arena machinery: exact
 // observer byte conservation, arena-mirror consistency (the SoA copies must
-// track Flow::spec at every instant), and the stale-slot discipline that
-// turns use-after-recycle path reads into deterministic debug aborts —
-// mirroring PathId's generation-stamp guard in the routing layer.
+// track Flow::spec at every instant), the exact component a pod-local
+// change refills, and the stale-slot discipline that turns use-after-recycle
+// path reads into deterministic debug aborts — mirroring PathId's
+// generation-stamp guard in the routing layer. The weighted max-min
+// certificate on fat-trees lives in test_maxmin_properties.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -18,103 +18,8 @@
 namespace pythia::net {
 namespace {
 
-using util::BitsPerSec;
 using util::Bytes;
 using util::SimTime;
-
-struct Params {
-  std::uint64_t seed;
-  std::size_t flows;
-  double cbr_fraction;
-  bool weighted = false;
-};
-
-class HierMaxMinProperty : public ::testing::TestWithParam<Params> {};
-
-TEST_P(HierMaxMinProperty, AllocationIsMaxMinFair) {
-  const Params p = GetParam();
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  const Topology topo = make_fat_tree(cfg);
-  const RoutingGraph routing(topo, 4);
-
-  sim::Simulation sim(p.seed);
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = RateEngine::kHierarchical});
-  util::Xoshiro256 rng(p.seed);
-  const auto hosts = topo.hosts();
-
-  if (p.cbr_fraction > 0.0) {
-    const auto& paths = routing.paths(hosts[0], hosts[hosts.size() - 1]);
-    ASSERT_FALSE(paths.empty());
-    fabric.start_cbr(paths[0].links,
-                     BitsPerSec{cfg.host_link.bps() * p.cbr_fraction});
-  }
-
-  std::vector<FlowId> flows;
-  for (std::size_t i = 0; i < p.flows; ++i) {
-    const NodeId src = hosts[rng.below(hosts.size())];
-    NodeId dst = src;
-    while (dst == src) dst = hosts[rng.below(hosts.size())];
-    const auto& paths = routing.paths(src, dst);
-    ASSERT_FALSE(paths.empty());
-    FlowSpec spec;
-    spec.src = src;
-    spec.dst = dst;
-    spec.size = Bytes{static_cast<std::int64_t>(1e12)};  // long-lived
-    spec.path = paths[rng.below(paths.size())].links;
-    spec.weight = p.weighted ? rng.uniform(0.5, 4.0) : 1.0;
-    flows.push_back(fabric.start_flow(spec));
-  }
-
-  constexpr double kEps = 1e-3;  // absolute bps tolerance
-
-  // Capacity bound: no link carries more elastic traffic than its residual.
-  for (const auto& link : topo.links()) {
-    EXPECT_LE(fabric.link_elastic_rate(link.id).bps(),
-              fabric.link_residual_capacity(link.id).bps() + kEps)
-        << "link " << link.id.value();
-  }
-
-  // Weighted max-min certificate: every flow with a nonzero rate has a
-  // saturated link on its path where its weight-normalized rate is maximal.
-  for (FlowId f : flows) {
-    const auto& flow = fabric.flow(f);
-    if (flow.rate.bps() <= kEps) continue;
-    bool has_bottleneck = false;
-    const double norm = flow.rate.bps() / flow.spec.weight;
-    for (LinkId l : fabric.flow_path(f)) {
-      const double residual = fabric.link_residual_capacity(l).bps();
-      if (fabric.link_elastic_rate(l).bps() < residual - 1.0) continue;
-      bool is_max = true;
-      for (FlowId g : fabric.flows_crossing(l)) {
-        if (g == f) continue;
-        const auto& other = fabric.flow(g);
-        if (other.rate.bps() / other.spec.weight > norm + kEps) {
-          is_max = false;
-          break;
-        }
-      }
-      if (is_max) {
-        has_bottleneck = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(has_bottleneck) << "flow " << f.value();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, HierMaxMinProperty,
-    ::testing::Values(Params{1, 8, 0.0}, Params{2, 40, 0.0},
-                      Params{3, 40, 0.6}, Params{4, 96, 0.0},
-                      Params{5, 96, 0.8, true}, Params{6, 64, 0.5, true},
-                      Params{7, 64, 0.0, false}, Params{8, 96, 0.5, true}),
-    [](const auto& info) {
-      return "seed" + std::to_string(info.param.seed) + "_flows" +
-             std::to_string(info.param.flows) +
-             (info.param.weighted ? "_weighted" : "");
-    });
 
 /// Accumulates on_bytes_moved per flow and checks the exact-conservation
 /// contract: cumulative observer bytes equal spec.size at completion.
@@ -141,7 +46,7 @@ class ByteLedger : public FabricObserver {
 
 TEST(HierByteConservation, ObserverTotalsEqualSpecSizeExactly) {
   // Churny mix (uneven sizes, a zero-byte flow, fractional-rate divisions)
-  // under the hierarchical engine: every completed flow's
+  // through the arena fill: every completed flow's
   // observer byte total must equal its spec size exactly — integer
   // equality, no tolerance — which proves the settle/report residue
   // carrying survives arena completion handling.
@@ -150,8 +55,7 @@ TEST(HierByteConservation, ObserverTotalsEqualSpecSizeExactly) {
   const Topology topo = make_fat_tree(cfg);
   const RoutingGraph routing(topo, 4);
   sim::Simulation sim(21);
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = RateEngine::kHierarchical});
+  Fabric fabric(sim, topo);
   ByteLedger ledger;
   fabric.add_observer(&ledger);
   util::Xoshiro256 rng(21);
@@ -193,8 +97,7 @@ TEST(HierArenaMirrors, PathViewTracksSpecThroughChurn) {
   const Topology topo = make_fat_tree(cfg);
   const RoutingGraph routing(topo, 4);
   sim::Simulation sim(31);
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = RateEngine::kHierarchical});
+  Fabric fabric(sim, topo);
   util::Xoshiro256 rng(31);
   const auto hosts = topo.hosts();
 
@@ -242,16 +145,16 @@ TEST(HierArenaMirrors, PathViewTracksSpecThroughChurn) {
   sim.run();
 }
 
-TEST(HierArenaMirrors, GroupClosureTouchesNoMoreThanComponentPlusGroups) {
-  // Pod-locality payoff, asserted via counters: an intra-pod flow start on
-  // an otherwise busy fat-tree must not touch flows confined to other pods.
+TEST(HierArenaMirrors, PodLocalStartTouchesExactComponent) {
+  // Component exactness, asserted via counters: an intra-pod flow start on
+  // an otherwise busy fat-tree refills its own path's links and itself, and
+  // touches no link or flow confined to other pods.
   FatTreeConfig cfg;
   cfg.k = 4;
   const Topology topo = make_fat_tree(cfg);
   const RoutingGraph routing(topo, 4);
   sim::Simulation sim;
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = RateEngine::kHierarchical});
+  Fabric fabric(sim, topo);
   const auto hosts = topo.hosts();
   const auto hosts_per_pod = hosts.size() / cfg.k;
 
@@ -280,7 +183,10 @@ TEST(HierArenaMirrors, GroupClosureTouchesNoMoreThanComponentPlusGroups) {
   fabric.start_flow(spec);
   const auto after = fabric.counters();
 
-  // 18 flows live in pods 1..3; the pod-0 fill must touch only the new flow.
+  // 18 flows live in pods 1..3; pod 0 carries only the new flow, so its
+  // component is exactly that flow and the links of its path.
+  ASSERT_EQ(spec.path.size(), 2u);  // host -> edge -> host
+  EXPECT_EQ(after.links_touched - before.links_touched, spec.path.size());
   EXPECT_EQ(after.flows_touched - before.flows_touched, 1u);
   EXPECT_EQ(after.full_fills, before.full_fills);
 }
@@ -293,8 +199,7 @@ TEST(HierStaleSlotDeathTest, RecycledPathRowAborts) {
   const Topology topo = make_fat_tree(cfg);
   const RoutingGraph routing(topo, 4);
   sim::Simulation sim;
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = RateEngine::kHierarchical});
+  Fabric fabric(sim, topo);
   const auto hosts = topo.hosts();
   FlowSpec spec;
   spec.src = hosts[0];
@@ -313,8 +218,7 @@ TEST(HierStaleSlot, RecycledPathRowReadsEmptyInRelease) {
   const Topology topo = make_fat_tree(cfg);
   const RoutingGraph routing(topo, 4);
   sim::Simulation sim;
-  Fabric fabric(sim, topo,
-                FabricConfig{.rate_engine = RateEngine::kHierarchical});
+  Fabric fabric(sim, topo);
   const auto hosts = topo.hosts();
   FlowSpec spec;
   spec.src = hosts[0];

@@ -1,38 +1,35 @@
-// Differential validation of the component-refill rate engine on leaf-spine
-// fabrics: every scenario is replayed on two fabrics — RateEngine::
-// kHierarchical vs the kFullRecompute oracle — and the observable outcomes
-// (flow completion instants, sampled rates, delivered bytes) must match
-// bit-for-bit. Both engines share the progressive-fill arithmetic and
-// canonical orderings, so any divergence is a bug in the dirty-set
-// component tracking.
+// Component-refill validation on leaf-spine fabrics. The churn scenarios
+// drive one Fabric and compare it against the frozen oracle in
+// tests/net/fabric_oracle.hpp after every mutation and every event — flow
+// rates and link rates by bit pattern — so any divergence is a bug in the
+// dirty-set component tracking. The counter tests pin how much state a
+// refill touches: exactly the flow-connected component of the dirty links.
 #include <gtest/gtest.h>
 
-#include <utility>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
-#include "experiments/scenario.hpp"
 #include "net/fabric.hpp"
+#include "net/fabric_oracle.hpp"
 #include "net/routing.hpp"
 #include "sim/simulation.hpp"
 #include "util/random.hpp"
-#include "workloads/hibench.hpp"
 
 namespace pythia::net {
 namespace {
 
 using util::BitsPerSec;
 using util::Bytes;
-using util::Duration;
 using util::SimTime;
-
-/// (sequence number, completion instant) — flow ids are recycled, so the
-/// start sequence is the stable identity.
-using CompletionLog = std::vector<std::pair<int, std::int64_t>>;
 
 /// Runs a seeded churn scenario — staggered randomized flow starts, a CBR
 /// pulse, a link failure/restore, mid-flight reroutes and weight changes —
-/// and returns the completion log.
-CompletionLog run_churn(RateEngine engine, std::uint64_t seed) {
+/// checking the fabric against the oracle throughout. Returns the number of
+/// completed flows.
+std::uint64_t run_churn(std::uint64_t seed) {
   LeafSpineConfig cfg;
   cfg.racks = 3;
   cfg.servers_per_rack = 4;
@@ -41,11 +38,12 @@ CompletionLog run_churn(RateEngine engine, std::uint64_t seed) {
   const RoutingGraph routing(topo, cfg.spines);
 
   sim::Simulation sim(seed);
-  Fabric fabric(sim, topo, FabricConfig{engine});
+  Fabric fabric(sim, topo);
   util::Xoshiro256 rng(seed);
   const auto hosts = topo.hosts();
-
-  CompletionLog log;
+  auto check = [&fabric](const std::string& what) {
+    expect_fabric_matches_oracle(fabric, what);
+  };
 
   // A handful of long-lived flows that survive to the reroute/weight events.
   std::vector<FlowId> pinned;
@@ -59,10 +57,8 @@ CompletionLog run_churn(RateEngine engine, std::uint64_t seed) {
     spec.size = Bytes{4'000'000'000};
     spec.path = paths[0].links;
     spec.weight = 1.0 + i;
-    const int tag = 1000 + i;
-    pinned.push_back(fabric.start_flow(spec, [&log, tag](FlowId, SimTime t) {
-      log.emplace_back(tag, t.ns());
-    }));
+    pinned.push_back(fabric.start_flow(spec));
+    check("pinned start " + std::to_string(i));
   }
 
   // Randomized short flows over the first two simulated seconds.
@@ -78,16 +74,14 @@ CompletionLog run_churn(RateEngine engine, std::uint64_t seed) {
     const auto size =
         static_cast<std::int64_t>(1'000'000 + rng.below(400'000'000));
     const double weight = rng.uniform(0.5, 3.0);
-    sim.at(at, [&fabric, &log, i, src, dst, path, size, weight] {
+    sim.at(at, [&fabric, src, dst, path, size, weight] {
       FlowSpec spec;
       spec.src = src;
       spec.dst = dst;
       spec.size = Bytes{size};
       spec.path = path;
       spec.weight = weight;
-      fabric.start_flow(spec, [&log, i](FlowId, SimTime t) {
-        log.emplace_back(i, t.ns());
-      });
+      fabric.start_flow(spec);
     });
   }
 
@@ -108,122 +102,82 @@ CompletionLog run_churn(RateEngine engine, std::uint64_t seed) {
     fabric.restore_link(victim);
   });
 
-  // Reroute and reweight the pinned flows mid-flight.
-  sim.at(SimTime::from_seconds(0.7), [&fabric, &routing, pinned] {
+  // Reroute and reweight the pinned flows mid-flight, checking after each.
+  sim.at(SimTime::from_seconds(0.7), [&fabric, &routing, &check, pinned] {
     for (FlowId f : pinned) {
       if (!fabric.flow_active(f)) continue;
       const auto& spec = fabric.flow(f).spec;
       const auto& alts = routing.paths(spec.src, spec.dst);
       fabric.reroute_flow(f, alts[alts.size() - 1].links);
+      check("reroute of flow " + std::to_string(f.value()));
     }
   });
-  sim.at(SimTime::from_seconds(1.1), [&fabric, pinned] {
+  sim.at(SimTime::from_seconds(1.1), [&fabric, &check, pinned] {
     for (FlowId f : pinned) {
-      if (fabric.flow_active(f)) fabric.set_flow_weight(f, 2.5);
+      if (!fabric.flow_active(f)) continue;
+      fabric.set_flow_weight(f, 2.5);
+      check("reweight of flow " + std::to_string(f.value()));
     }
   });
 
-  sim.run();
-  return log;
+  run_checking_oracle(sim, fabric, "churn seed " + std::to_string(seed));
+  return fabric.flows_completed();
 }
 
 class IncrementalDifferential
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(IncrementalDifferential, ChurnCompletionsBitIdentical) {
-  const std::uint64_t seed = GetParam();
-  const CompletionLog hier = run_churn(RateEngine::kHierarchical, seed);
-  const CompletionLog full = run_churn(RateEngine::kFullRecompute, seed);
-  ASSERT_EQ(hier.size(), full.size());
-  for (std::size_t i = 0; i < hier.size(); ++i) {
-    EXPECT_EQ(hier[i].first, full[i].first) << "completion order @" << i;
-    EXPECT_EQ(hier[i].second, full[i].second)
-        << "completion time of flow " << hier[i].first;
-  }
+TEST_P(IncrementalDifferential, ChurnMatchesOracleAfterEveryMutation) {
+  // 4 pinned + 60 randomized flows, every one of which completes.
+  EXPECT_EQ(run_churn(GetParam()), 64u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDifferential,
                          ::testing::Values(1u, 2u, 7u, 42u, 1234u));
 
-TEST(IncrementalDifferential, RatesBitIdenticalUnderSnapshots) {
-  // Freeze both fabrics mid-churn at several instants and compare every
-  // active flow's rate bitwise.
-  for (const double at_s : {0.4, 0.8, 1.15}) {
-    LeafSpineConfig cfg;
-    cfg.racks = 2;
-    cfg.servers_per_rack = 5;
-    cfg.spines = 4;
-    const Topology topo = make_leaf_spine(cfg);
-    const RoutingGraph routing(topo, cfg.spines);
-    auto build = [&](sim::Simulation& sim, Fabric& fabric) {
-      util::Xoshiro256 rng(99);
-      const auto hosts = topo.hosts();
-      for (int i = 0; i < 40; ++i) {
-        const NodeId src = hosts[rng.below(hosts.size())];
-        NodeId dst = src;
-        while (dst == src) dst = hosts[rng.below(hosts.size())];
-        const auto& paths = routing.paths(src, dst);
-        FlowSpec spec;
-        spec.src = src;
-        spec.dst = dst;
-        spec.size = Bytes{static_cast<std::int64_t>(
-            5'000'000 + rng.below(900'000'000))};
-        spec.path = paths[rng.below(paths.size())].links;
-        spec.weight = rng.uniform(0.5, 4.0);
-        sim.at(SimTime{static_cast<std::int64_t>(rng.below(1'000'000'000))},
-               [&fabric, spec] { fabric.start_flow(spec); });
-      }
-      sim.run_until(SimTime::from_seconds(at_s));
-    };
-    sim::Simulation sim_a;
-    Fabric hier(sim_a, topo, FabricConfig{RateEngine::kHierarchical});
-    build(sim_a, hier);
-    sim::Simulation sim_b;
-    Fabric full(sim_b, topo, FabricConfig{RateEngine::kFullRecompute});
-    build(sim_b, full);
-
-    const auto active_a = hier.active_flows();
-    const auto active_b = full.active_flows();
-    ASSERT_EQ(active_a.size(), active_b.size());
-    for (std::size_t i = 0; i < active_a.size(); ++i) {
-      const auto& fa = hier.flow(active_a[i]);
-      const auto& fb = full.flow(active_b[i]);
-      EXPECT_TRUE(fa.rate == fb.rate)  // bitwise, not approximate
-          << "flow " << i << " at t=" << at_s << ": " << fa.rate.bps()
-          << " vs " << fb.rate.bps();
-      EXPECT_EQ(fa.remaining_bytes, fb.remaining_bytes);
-    }
+TEST(IncrementalDifferential, WeightedArrivalsMatchOracleAfterEveryEvent) {
+  // 40 weighted flows arriving over the first simulated second on a
+  // two-rack, four-spine fabric, checked after every event to the end.
+  LeafSpineConfig cfg;
+  cfg.racks = 2;
+  cfg.servers_per_rack = 5;
+  cfg.spines = 4;
+  const Topology topo = make_leaf_spine(cfg);
+  const RoutingGraph routing(topo, cfg.spines);
+  sim::Simulation sim;
+  Fabric fabric(sim, topo);
+  util::Xoshiro256 rng(99);
+  const auto hosts = topo.hosts();
+  for (int i = 0; i < 40; ++i) {
+    const NodeId src = hosts[rng.below(hosts.size())];
+    NodeId dst = src;
+    while (dst == src) dst = hosts[rng.below(hosts.size())];
+    const auto& paths = routing.paths(src, dst);
+    FlowSpec spec;
+    spec.src = src;
+    spec.dst = dst;
+    spec.size = Bytes{
+        static_cast<std::int64_t>(5'000'000 + rng.below(900'000'000))};
+    spec.path = paths[rng.below(paths.size())].links;
+    spec.weight = rng.uniform(0.5, 4.0);
+    sim.at(SimTime{static_cast<std::int64_t>(rng.below(1'000'000'000))},
+           [&fabric, spec] { fabric.start_flow(spec); });
   }
-}
-
-TEST(IncrementalDifferential, QuickstartSurfaceIdentical) {
-  // The quickstart's scenario shape (two-rack, oversubscribed, sort job)
-  // must complete at the exact same instant under both engines.
-  auto run = [](RateEngine engine) {
-    exp::ScenarioConfig cfg;
-    cfg.seed = 42;
-    cfg.scheduler = exp::SchedulerKind::kEcmp;
-    cfg.background.oversubscription = 10.0;
-    cfg.rate_engine = engine;
-    exp::Scenario scenario(cfg);
-    const auto result =
-        scenario.run_job(workloads::sort_job(Bytes{2'000'000'000}, 4));
-    return result.completion_time().ns();
-  };
-  EXPECT_EQ(run(RateEngine::kHierarchical), run(RateEngine::kFullRecompute));
+  run_checking_oracle(sim, fabric, "weighted arrivals");
+  EXPECT_EQ(fabric.flows_completed(), 40u);
 }
 
 TEST(IncrementalCounters, DisjointComponentsStayUntouched) {
   // Two flows in different racks share no link; starting the second must not
-  // revisit the first one's links. The refill closes over whole locality
-  // groups, so it touches exactly rack 1's group links.
+  // revisit the first one's links. The refill covers exactly the second
+  // flow's component: its own two links and itself.
   LeafSpineConfig cfg;
   cfg.racks = 2;
   cfg.servers_per_rack = 4;
   cfg.spines = 2;
   const Topology topo = make_leaf_spine(cfg);
   sim::Simulation sim;
-  Fabric fabric(sim, topo, FabricConfig{RateEngine::kHierarchical});
+  Fabric fabric(sim, topo);
   const auto hosts = topo.hosts();
 
   auto intra_rack = [&](NodeId a, NodeId b) {
@@ -247,18 +201,9 @@ TEST(IncrementalCounters, DisjointComponentsStayUntouched) {
   fabric.start_flow(f2);
   const auto after_second = fabric.counters();
 
-  // The closure is a union of whole groups, so a link count equal to rack
-  // 1's group size means it is exactly rack 1's group: no rack-0 link (and
-  // no core link) was revisited, and only the new flow was refilled.
-  const std::int32_t rack1 = topo.node_group(hosts[4]);
-  ASSERT_NE(rack1, topo.node_group(hosts[0]));
-  std::uint64_t rack1_links = 0;
-  for (const auto& link : topo.links()) {
-    if (topo.link_group(link.id) == rack1) ++rack1_links;
-  }
-  ASSERT_GT(rack1_links, 2u);  // host<->leaf links of four servers
+  ASSERT_EQ(f2.path.size(), 2u);
   EXPECT_EQ(after_second.links_touched - after_first.links_touched,
-            rack1_links);
+            f2.path.size());
   EXPECT_EQ(after_second.flows_touched - after_first.flows_touched, 1u);
   EXPECT_EQ(after_second.full_fills, after_first.full_fills);
 }
@@ -282,6 +227,68 @@ TEST(IncrementalCounters, CleanRecomputeIsFree) {
   const auto after = fabric.counters();
   EXPECT_EQ(after.links_touched, before.links_touched);
   EXPECT_EQ(after.flows_touched, before.flows_touched);
+}
+
+/// One cross-rack shuffle flow over spine 0 of a two-rack, two-spine
+/// fabric, with 2 Gb/s of CBR on the rack-0 uplink it crosses.
+struct EmptiedUplink {
+  Topology topo = make_leaf_spine(LeafSpineConfig{});
+  RoutingGraph routing{topo, 2};
+  sim::Simulation sim;
+  Fabric fabric{sim, topo};
+  FlowId flow;
+  LinkId uplink;
+
+  explicit EmptiedUplink(std::int64_t bytes) {
+    const auto hosts = topo.hosts();
+    FlowSpec spec;
+    spec.src = hosts[0];
+    spec.dst = hosts[hosts.size() - 1];
+    spec.size = Bytes{bytes};
+    spec.cls = FlowClass::kShuffle;
+    spec.path = routing.paths(spec.src, spec.dst)[0].links;
+    uplink = spec.path[1];  // tor-0 -> spine
+    fabric.start_cbr({uplink}, BitsPerSec{2e9});
+    flow = fabric.start_flow(spec);
+  }
+
+  /// The uplink carries only its CBR: zero elastic and per-class rates,
+  /// bit for bit, and a utilization of CBR / capacity.
+  void expect_cbr_only() const {
+    EXPECT_EQ(fabric.flows_crossing(uplink).size(), 0u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  fabric.link_elastic_rate(uplink).bps()),
+              0u);
+    for (std::size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    fabric.link_class_rate(uplink, static_cast<FlowClass>(c))
+                        .bps()),
+                0u)
+          << "class " << c;
+    }
+    EXPECT_EQ(fabric.link_utilization(uplink),
+              2e9 / topo.link(uplink).capacity.bps());
+  }
+};
+
+TEST(EmptiedLinkRates, ZeroAfterLastFlowReroutedAway) {
+  EmptiedUplink s(10'000'000'000);
+  ASSERT_GT(s.fabric.link_elastic_rate(s.uplink).bps(), 0.0);
+  ASSERT_GT(
+      s.fabric.link_class_rate(s.uplink, FlowClass::kShuffle).bps(), 0.0);
+  const FlowSpec& spec = s.fabric.flow(s.flow).spec;
+  const auto& alt = s.routing.paths(spec.src, spec.dst)[1].links;
+  ASSERT_EQ(std::count(alt.begin(), alt.end(), s.uplink), 0);
+  s.fabric.reroute_flow(s.flow, alt);
+  s.expect_cbr_only();
+}
+
+TEST(EmptiedLinkRates, ZeroAfterLastFlowCompletes) {
+  EmptiedUplink s(1'000'000);
+  ASSERT_GT(s.fabric.link_elastic_rate(s.uplink).bps(), 0.0);
+  s.sim.run();
+  ASSERT_FALSE(s.fabric.flow_active(s.flow));
+  s.expect_cbr_only();
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Property-based validation of the fluid max-min allocator: on randomized
-// leaf-spine topologies with randomized flow sets and CBR background, the
-// computed rates must satisfy the defining properties of a max-min fair
-// allocation.
+// leaf-spine and k=4 fat-tree topologies with randomized flow sets and CBR
+// background, the computed rates must satisfy the defining properties of a
+// max-min fair allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -17,35 +19,52 @@ namespace {
 using util::BitsPerSec;
 using util::Bytes;
 
+enum class Shape { kLeafSpine, kFatTreeK4 };
+
 struct Params {
+  Shape shape;
   std::uint64_t seed;
-  std::size_t spines;
+  std::size_t spines;  // leaf-spine only; the fat-tree routes over k = 4
   std::size_t flows;
-  double cbr_fraction;  // of one uplink's capacity
+  double cbr_fraction;  // of one 10 Gb/s link's capacity
   bool weighted = false;  // draw per-flow weights in [0.5, 4]
 };
 
-class MaxMinProperty : public ::testing::TestWithParam<Params> {};
-
-TEST_P(MaxMinProperty, AllocationIsMaxMinFair) {
-  const Params p = GetParam();
+/// Two racks of three hosts over `spines` spines, or a canonical k=4
+/// fat-tree; every link is 10 Gb/s.
+Topology make_topology(const Params& p) {
+  if (p.shape == Shape::kFatTreeK4) {
+    FatTreeConfig cfg;
+    cfg.k = 4;
+    return make_fat_tree(cfg);
+  }
   LeafSpineConfig cfg;
   cfg.racks = 2;
   cfg.servers_per_rack = 3;
   cfg.spines = p.spines;
   cfg.host_link = BitsPerSec{10e9};
   cfg.uplink = BitsPerSec{10e9};
-  const Topology topo = make_leaf_spine(cfg);
-  const RoutingGraph routing(topo, p.spines);
+  return make_leaf_spine(cfg);
+}
+
+class MaxMinProperty : public ::testing::TestWithParam<Params> {};
+
+TEST_P(MaxMinProperty, AllocationIsMaxMinFair) {
+  const Params p = GetParam();
+  const Topology topo = make_topology(p);
+  const RoutingGraph routing(
+      topo, p.shape == Shape::kFatTreeK4 ? std::size_t{4} : p.spines);
 
   sim::Simulation sim(p.seed);
   Fabric fabric(sim, topo);
   util::Xoshiro256 rng(p.seed);
 
   const auto hosts = topo.hosts();
-  // Optional CBR on a random cross-rack path.
+  // Optional CBR on a cross-rack (leaf-spine) or cross-pod (fat-tree) path.
+  const NodeId cbr_dst =
+      p.shape == Shape::kFatTreeK4 ? hosts.back() : hosts[4];
   if (p.cbr_fraction > 0.0) {
-    const auto& paths = routing.paths(hosts[0], hosts[4]);
+    const auto& paths = routing.paths(hosts[0], cbr_dst);
     ASSERT_FALSE(paths.empty());
     fabric.start_cbr(paths[0].links, BitsPerSec{10e9 * p.cbr_fraction});
   }
@@ -127,7 +146,7 @@ TEST_P(MaxMinProperty, AllocationIsMaxMinFair) {
   Fabric fabric2(sim2, topo);
   util::Xoshiro256 rng2(p.seed);
   if (p.cbr_fraction > 0.0) {
-    const auto& paths = routing.paths(hosts[0], hosts[4]);
+    const auto& paths = routing.paths(hosts[0], cbr_dst);
     fabric2.start_cbr(paths[0].links, BitsPerSec{10e9 * p.cbr_fraction});
   }
   std::vector<FlowId> flows2;
@@ -153,20 +172,36 @@ TEST_P(MaxMinProperty, AllocationIsMaxMinFair) {
   }
 }
 
+constexpr Shape kLS = Shape::kLeafSpine;
+constexpr Shape kFT = Shape::kFatTreeK4;
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MaxMinProperty,
     ::testing::Values(
-        Params{1, 2, 4, 0.0}, Params{2, 2, 12, 0.0}, Params{3, 2, 12, 0.6},
-        Params{4, 3, 20, 0.0}, Params{5, 3, 20, 0.9}, Params{6, 4, 40, 0.5},
-        Params{7, 2, 1, 0.95}, Params{8, 4, 64, 0.0}, Params{9, 4, 64, 0.8},
-        Params{10, 2, 30, 0.3}, Params{11, 2, 20, 0.0, true},
-        Params{12, 3, 40, 0.6, true}, Params{13, 4, 64, 0.5, true}),
+        Params{kLS, 1, 2, 4, 0.0}, Params{kLS, 2, 2, 12, 0.0},
+        Params{kLS, 3, 2, 12, 0.6}, Params{kLS, 4, 3, 20, 0.0},
+        Params{kLS, 5, 3, 20, 0.9}, Params{kLS, 6, 4, 40, 0.5},
+        Params{kLS, 7, 2, 1, 0.95}, Params{kLS, 8, 4, 64, 0.0},
+        Params{kLS, 9, 4, 64, 0.8}, Params{kLS, 10, 2, 30, 0.3},
+        Params{kLS, 11, 2, 20, 0.0, true}, Params{kLS, 12, 3, 40, 0.6, true},
+        Params{kLS, 13, 4, 64, 0.5, true},
+        // Fat-tree k=4: pods coupled through the core.
+        Params{kFT, 1, 0, 8, 0.0}, Params{kFT, 2, 0, 40, 0.0},
+        Params{kFT, 3, 0, 40, 0.6}, Params{kFT, 4, 0, 96, 0.0},
+        Params{kFT, 5, 0, 96, 0.8, true}, Params{kFT, 6, 0, 64, 0.5, true},
+        Params{kFT, 7, 0, 64, 0.0}, Params{kFT, 8, 0, 96, 0.5, true}),
     [](const auto& info) {
-      return "seed" + std::to_string(info.param.seed) + "_spines" +
-             std::to_string(info.param.spines) + "_flows" +
-             std::to_string(info.param.flows) + "_cbr" +
-             std::to_string(static_cast<int>(info.param.cbr_fraction * 100)) +
-             (info.param.weighted ? "_weighted" : "");
+      const Params& p = info.param;
+      if (p.shape == Shape::kFatTreeK4) {
+        return "fattree4_seed" + std::to_string(p.seed) + "_flows" +
+               std::to_string(p.flows) + "_cbr" +
+               std::to_string(static_cast<int>(p.cbr_fraction * 100)) +
+               (p.weighted ? "_weighted" : "");
+      }
+      return "seed" + std::to_string(p.seed) + "_spines" +
+             std::to_string(p.spines) + "_flows" + std::to_string(p.flows) +
+             "_cbr" + std::to_string(static_cast<int>(p.cbr_fraction * 100)) +
+             (p.weighted ? "_weighted" : "");
     });
 
 }  // namespace

@@ -1,9 +1,9 @@
 // bisect_divergence — event-level divergence bisection between two
 // simulation arms that are supposed to be behaviorally identical.
 //
-// The determinism contract (docs/determinism.md) promises that certain arm
-// pairs — most importantly the hierarchical vs. full-recompute fabric rate
-// engines — produce bit-identical behavior. When that promise breaks, the
+// The determinism contract (docs/determinism.md) promises that replaying an
+// arm reproduces it bit for bit; every checkpoint cut, restore and probe
+// below relies on that. When a pair of arms that should agree does not, the
 // symptom (a diverged golden trace or final metric) is far downstream of the
 // cause. This tool localizes the break to the exact first event:
 //
@@ -12,16 +12,17 @@
 //  2. binary-search the event count: fresh-replay each arm to N events,
 //     capture a snapshot (experiments/checkpoint.hpp), and compare
 //     *behavioral* checksums — observability sections ("fabric.counters",
-//     "routing.counters") are excluded, since contracted-identical arms
-//     legitimately do different amounts of work;
+//     "routing.counters") are excluded, since they measure work done, not
+//     behavior;
 //  3. report the first event count at which the images diverge, plus the
 //     section-level byte diff at that point.
 //
 // Every probe is a fresh deterministic replay, so the search is exact: the
 // reported event is the true first divergence, not a sampling artifact.
 //
-// `--smoke` runs the self-test pair used by CI: engines must be identical,
-// and a deliberately perturbed arm must be caught by the bisection.
+// `--smoke` runs the self-test pair used by CI: the same arm replayed twice
+// must agree, and a deliberately perturbed arm must be caught by the
+// bisection.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -51,20 +52,10 @@ struct Options {
   double oversub = 10.0;
   long long input_mb = 2000;
   std::size_t reducers = 4;
-  std::string arm_a_engine = "hierarchical";
-  std::string arm_b_engine = "full";
   std::string arm_b_scheduler;  // empty = same as arm A (pythia)
   std::uint64_t arm_b_seed = 0;  // 0 = same as arm A
   bool smoke = false;
 };
-
-pythia::net::RateEngine parse_engine(const std::string& name) {
-  if (name == "hierarchical") return pythia::net::RateEngine::kHierarchical;
-  if (name == "full") return pythia::net::RateEngine::kFullRecompute;
-  std::fprintf(stderr, "unknown rate engine '%s' (hierarchical|full)\n",
-               name.c_str());
-  std::exit(1);
-}
 
 SchedulerKind parse_scheduler(const std::string& name) {
   if (name == "ecmp") return SchedulerKind::kEcmp;
@@ -226,20 +217,16 @@ int run_smoke() {
   const auto job =
       pythia::workloads::sort_job(pythia::util::Bytes{200LL * 1000 * 1000}, 2);
 
-  std::printf("--- smoke 1: contracted-identical engines must agree ---\n");
-  Arm a{"engine=hierarchical scheduler=pythia seed=1", base_config(1, 10.0)};
-  Arm b{"engine=full scheduler=pythia seed=1", base_config(1, 10.0)};
-  b.cfg.rate_engine = pythia::net::RateEngine::kFullRecompute;
-  const bool engines_agree = compare_arms(a, b, job);
-  if (!engines_agree) {
-    std::printf("SMOKE FAIL: rate engines diverged\n");
+  std::printf("--- smoke 1: the same arm replayed twice must agree ---\n");
+  const Arm a{"scheduler=pythia seed=1", base_config(1, 10.0)};
+  if (!compare_arms(a, a, job)) {
+    std::printf("SMOKE FAIL: replays of one arm diverged\n");
     return 1;
   }
 
   std::printf("--- smoke 2: bisection must localize a real divergence ---\n");
-  Arm c{"engine=hierarchical scheduler=pythia seed=1", base_config(1, 10.0)};
-  Arm d{"engine=hierarchical scheduler=flowcomb seed=1",
-        base_config(1, 10.0)};
+  Arm c{"scheduler=pythia seed=1", base_config(1, 10.0)};
+  Arm d{"scheduler=flowcomb seed=1", base_config(1, 10.0)};
   d.cfg.scheduler = SchedulerKind::kFlowCombLike;
   const bool perturbed_agree = compare_arms(c, d, job);
   if (perturbed_agree) {
@@ -254,13 +241,12 @@ int run_smoke() {
 void usage() {
   std::printf(
       "bisect_divergence: localize the first divergent event between two\n"
-      "simulation arms that should be behaviorally identical.\n\n"
+      "simulation arms that should be behaviorally identical. Arm A runs\n"
+      "Pythia; arm B is a replay of arm A unless a perturbation is given.\n\n"
       "  --seed N            root seed for both arms (default 1)\n"
       "  --oversub R         background oversubscription ratio (default 10)\n"
       "  --input-mb M        sort job input size in MB (default 2000)\n"
       "  --reducers K        sort job reducer count (default 4)\n"
-      "  --arm-a-engine E    rate engine for arm A: hierarchical|full\n"
-      "  --arm-b-engine E    rate engine for arm B (default full)\n"
       "  --arm-b-scheduler S perturb arm B's scheduler "
       "(ecmp|pythia|hedera|flowcomb)\n"
       "  --arm-b-seed N      perturb arm B's seed\n"
@@ -290,10 +276,6 @@ int main(int argc, char** argv) {
       opt.input_mb = std::strtoll(value().c_str(), nullptr, 10);
     } else if (flag == "--reducers") {
       opt.reducers = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (flag == "--arm-a-engine") {
-      opt.arm_a_engine = value();
-    } else if (flag == "--arm-b-engine") {
-      opt.arm_b_engine = value();
     } else if (flag == "--arm-b-scheduler") {
       opt.arm_b_scheduler = value();
     } else if (flag == "--arm-b-seed") {
@@ -314,18 +296,14 @@ int main(int argc, char** argv) {
   const auto job = pythia::workloads::sort_job(
       pythia::util::Bytes{opt.input_mb * 1000 * 1000}, opt.reducers);
 
-  Arm a{"engine=" + opt.arm_a_engine + " scheduler=pythia seed=" +
-            std::to_string(opt.seed),
-        base_config(opt.seed, opt.oversub)};
-  a.cfg.rate_engine = parse_engine(opt.arm_a_engine);
+  const Arm a{"scheduler=pythia seed=" + std::to_string(opt.seed),
+              base_config(opt.seed, opt.oversub)};
 
   const std::uint64_t seed_b = opt.arm_b_seed != 0 ? opt.arm_b_seed : opt.seed;
   const std::string sched_b =
       opt.arm_b_scheduler.empty() ? "pythia" : opt.arm_b_scheduler;
-  Arm b{"engine=" + opt.arm_b_engine + " scheduler=" + sched_b + " seed=" +
-            std::to_string(seed_b),
+  Arm b{"scheduler=" + sched_b + " seed=" + std::to_string(seed_b),
         base_config(seed_b, opt.oversub)};
-  b.cfg.rate_engine = parse_engine(opt.arm_b_engine);
   if (!opt.arm_b_scheduler.empty()) {
     b.cfg.scheduler = parse_scheduler(opt.arm_b_scheduler);
   }
